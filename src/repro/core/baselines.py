@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Sequence
 
-import networkx as nx
-
 from repro.core.engine import LoADPartEngine
 from repro.core.partition_algorithm import PartitionDecision
 from repro.graph.graph import ComputationGraph
@@ -107,6 +105,10 @@ def dads_min_cut(
     Complexity is that of a max-flow on ~2n nodes — the O(n^3)-ish cost the
     paper's Algorithm 1 avoids.
     """
+    # Deferred: networkx is this function's alone, and importing it costs
+    # every process that imports repro ~12 MB of resident memory.
+    import networkx as nx
+
     order = graph.topological_order()
     n = len(order)
     if len(device_times) != n or len(edge_times) != n:

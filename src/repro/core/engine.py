@@ -841,15 +841,6 @@ class LoADPartEngine:
             + k * self._suffix[point]
         )
 
-    def tail_profiles(self, point: int) -> Sequence[NodeProfile]:
-        """Node profiles of the server-side tail for partition ``point``."""
-        self._check_point(point)
-        return self.profiles[point:]
-
-    def head_profiles(self, point: int) -> Sequence[NodeProfile]:
-        self._check_point(point)
-        return self.profiles[:point]
-
     def _check_point(self, point: int) -> None:
         if not 0 <= point <= self.num_nodes:
             raise ValueError(f"partition point {point} out of range [0, {self.num_nodes}]")

@@ -44,7 +44,7 @@ the paper (MAPE ~40%).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +57,64 @@ def lognormal_factor(rng: np.random.Generator, sigma: float) -> float:
     if sigma <= 0:
         return 1.0
     return float(rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma))
+
+
+class NodeCostModel:
+    """Noiseless per-node means plus lognormal noise: the simulated truth.
+
+    Subclasses provide ``mean_time(profile)`` and a frozen ``params`` with
+    a ``noise_sigma``.  The runtime samples whole segments of one profile
+    list — the engine's ``profiles``, cut at a partition point — so the
+    per-node means are computed once per list and each segment's noise is
+    one vector draw over a slice of them.  A list must not change after it
+    has been sampled.
+    """
+
+    #: Profile lists whose means are kept at once; callers that pass a
+    #: fresh list per call flush the table instead of growing it.
+    MEANS_CACHE_LIMIT = 64
+
+    def __init__(self) -> None:
+        # Keyed by list identity; each entry holds its list, so an id
+        # cannot be recycled while the entry lives.
+        self._means: Dict[int, Tuple[Sequence[NodeProfile], np.ndarray]] = {}
+
+    def mean_time(self, profile: NodeProfile) -> float:
+        raise NotImplementedError
+
+    def mean_times(self, profiles: Sequence[NodeProfile]) -> np.ndarray:
+        """Per-node noiseless times of ``profiles`` (cached per list)."""
+        entry = self._means.get(id(profiles))
+        if entry is None or entry[0] is not profiles:
+            if len(self._means) >= self.MEANS_CACHE_LIMIT:
+                self._means.clear()
+            entry = (profiles, np.array([self.mean_time(p) for p in profiles],
+                                        dtype=np.float64))
+            self._means[id(profiles)] = entry
+        return entry[1]
+
+    def sample_times(self, profiles: Sequence[NodeProfile], rng: np.random.Generator,
+                     start: int = 0, stop: int | None = None) -> List[float]:
+        """One noisy measurement of each node in ``profiles[start:stop]``.
+
+        Bit-identical to :meth:`sample_time` per node in order: numpy's
+        ``Generator`` fills a size-``n`` draw with the values, and leaves
+        the state, of ``n`` scalar draws.  The values are Python floats.
+        """
+        means = self.mean_times(profiles)[start:stop]
+        sigma = self.params.noise_sigma
+        if sigma <= 0:
+            return means.tolist()
+        noise = rng.lognormal(-0.5 * sigma * sigma, sigma, size=len(means))
+        return (means * noise).tolist()
+
+    def sample_time(self, profile: NodeProfile, rng: np.random.Generator) -> float:
+        """One noisy measurement of the node's execution time."""
+        return self.mean_time(profile) * lognormal_factor(rng, self.params.noise_sigma)
+
+    def mean_graph_time(self, profiles: Iterable[NodeProfile]) -> float:
+        """Noiseless execution time of a whole graph (or node sequence)."""
+        return sum(self.mean_time(p) for p in profiles)
 
 
 @dataclass(frozen=True)
@@ -80,10 +138,11 @@ class DeviceParams:
     noise_sigma: float = 0.04
 
 
-class DeviceModel:
+class DeviceModel(NodeCostModel):
     """Per-node execution-time model for the user-end device."""
 
     def __init__(self, params: DeviceParams | None = None) -> None:
+        super().__init__()
         self.params = params or DeviceParams()
 
     # -- internals -----------------------------------------------------------
@@ -145,13 +204,7 @@ class DeviceModel:
         memory = self._traffic_bytes(profile) / p.mem_bandwidth
         return compute + memory + p.node_overhead
 
-    def sample_time(self, profile: NodeProfile, rng: np.random.Generator) -> float:
-        """One noisy measurement of the node's execution time."""
-        return self.mean_time(profile) * lognormal_factor(rng, self.params.noise_sigma)
-
-    def mean_graph_time(self, profiles: Iterable[NodeProfile]) -> float:
-        """Noiseless local-inference time of a whole graph (or prefix)."""
-        return sum(self.mean_time(p) for p in profiles)
-
-    def sample_graph_time(self, profiles: Iterable[NodeProfile], rng: np.random.Generator) -> float:
-        return sum(self.sample_time(p, rng) for p in profiles)
+    def sample_graph_time(self, profiles: Sequence[NodeProfile], rng: np.random.Generator,
+                          start: int = 0, stop: int | None = None) -> float:
+        """Noisy local-inference time of ``profiles[start:stop]``."""
+        return sum(self.sample_times(profiles, rng, start, stop), 0.0)

@@ -18,12 +18,12 @@ individual kernel service times (§III-C).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
 from repro.graph.ops import FUSED_ANCHOR_CATEGORY
-from repro.hardware.device_model import lognormal_factor
+from repro.hardware.device_model import NodeCostModel
 from repro.profiling.features import NodeProfile
 
 
@@ -41,10 +41,11 @@ class GpuParams:
     noise_sigma: float = 0.05
 
 
-class GpuModel:
+class GpuModel(NodeCostModel):
     """Per-kernel service-time model for the edge-server GPU at zero load."""
 
     def __init__(self, params: GpuParams | None = None) -> None:
+        super().__init__()
         self.params = params or GpuParams()
 
     def _occupancy(self, flops: float) -> float:
@@ -75,16 +76,11 @@ class GpuModel:
         body = max(compute + traffic / p.mem_bandwidth, p.min_kernel_time)
         return body + p.launch_overhead
 
-    def sample_time(self, profile: NodeProfile, rng: np.random.Generator) -> float:
-        return self.mean_time(profile) * lognormal_factor(rng, self.params.noise_sigma)
-
     def kernel_times(self, profiles: Iterable[NodeProfile]) -> List[float]:
         """Noiseless service times for a kernel sequence (one per node)."""
         return [self.mean_time(p) for p in profiles]
 
-    def sample_kernel_times(self, profiles: Iterable[NodeProfile], rng: np.random.Generator) -> List[float]:
-        return [self.sample_time(p, rng) for p in profiles]
-
-    def mean_graph_time(self, profiles: Iterable[NodeProfile]) -> float:
-        """Noiseless, contention-free execution time of a node sequence."""
-        return sum(self.mean_time(p) for p in profiles)
+    def sample_kernel_times(self, profiles: Sequence[NodeProfile], rng: np.random.Generator,
+                            start: int = 0, stop: int | None = None) -> List[float]:
+        """Noisy service times of the kernels ``profiles[start:stop]``."""
+        return self.sample_times(profiles, rng, start, stop)

@@ -20,6 +20,10 @@ upper bound as a (pessimistic) sample instead of discarding the
 observation.  Degenerate measurements (zero bytes, non-positive or
 infinite durations) are silently ignored rather than raised — a probe that
 never completed must not crash the profiler thread.
+
+The median is kept until the window changes (a sample appended or aged
+out, or a reset): every request's decision reads the estimate, and most
+read an unchanged window.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ class BandwidthEstimator:
         self._max_probe_bytes = max_probe_bytes
         self._window_s = window_s
         self._last_time_s = -math.inf
+        self._median: float | None = None  # memo of estimate(); None = stale
 
     # -- measurement ingestion ---------------------------------------------------
 
@@ -93,12 +98,14 @@ class BandwidthEstimator:
         self._last_time_s = max(self._last_time_s, time_s)
         self._evict(self._last_time_s)
         self._window.append(_Sample(time_s, nbytes * 8 / duration_s, passive, failure))
+        self._median = None
 
     def _evict(self, now_s: float) -> None:
         if self._window_s is None:
             return
         while self._window and self._window[0].time_s < now_s - self._window_s:
             self._window.popleft()
+            self._median = None
 
     def reset(self) -> None:
         """Forget all samples and return to the initial estimate.
@@ -109,6 +116,7 @@ class BandwidthEstimator:
         """
         self._window.clear()
         self._last_time_s = -math.inf
+        self._median = None
 
     # -- queries -------------------------------------------------------------------
 
@@ -117,7 +125,9 @@ class BandwidthEstimator:
         self._evict(self._last_time_s)
         if not self._window:
             return self._initial
-        return float(np.median([s.bandwidth_bps for s in self._window]))
+        if self._median is None:
+            self._median = float(np.median([s.bandwidth_bps for s in self._window]))
+        return self._median
 
     def next_probe_bytes(self) -> int:
         """Probe size targeting ``probe_target_duration_s`` at the current estimate.

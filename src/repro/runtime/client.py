@@ -409,9 +409,8 @@ class UserDevice:
         if self.functional:
             head_outputs, transfers = self._run_head(partitioned, exit_index)
 
-        device_s = float(
-            self.device_model.sample_graph_time(active.head_profiles(point), self._rng)
-        )
+        device_s = self.device_model.sample_graph_time(active.profiles, self._rng,
+                                                       stop=point)
 
         if point == active.num_nodes:
             # Local inference: no network, no server involvement.

@@ -41,29 +41,39 @@ from repro.runtime.system import OffloadingSystem, SystemConfig, Timeline
 
 
 class SharedLoadTracker:
-    """Sliding-window GPU busy-time tracker shared by all clients."""
+    """Sliding-window GPU busy-time tracker shared by all clients.
+
+    The utilisation is kept until the window changes (a record appended
+    or aged out), and then re-summed in full, so it never drifts from a
+    fresh sum.
+    """
 
     def __init__(self, window_s: float = 3.0) -> None:
         if window_s <= 0:
             raise ValueError("window_s must be positive")
         self.window_s = window_s
         self._busy: Deque[Tuple[float, float]] = deque()
+        self._util: float | None = None  # memo of utilization(); None = stale
 
     def record(self, time_s: float, busy_s: float) -> None:
         if busy_s < 0:
             raise ValueError("busy time must be non-negative")
         self._busy.append((time_s, busy_s))
+        self._util = None
         self._evict(time_s)
 
     def _evict(self, now_s: float) -> None:
         while self._busy and self._busy[0][0] < now_s - self.window_s:
             self._busy.popleft()
+            self._util = None
 
     def utilization(self, now_s: float) -> float:
         """Fraction of the window the GPU spent on offloaded work (capped)."""
         self._evict(now_s)
-        busy = sum(b for _, b in self._busy)
-        return min(busy / self.window_s, 1.0)
+        if self._util is None:
+            busy = sum(b for _, b in self._busy)
+            self._util = min(busy / self.window_s, 1.0)
+        return self._util
 
 
 class EndogenousLoad:
@@ -77,13 +87,16 @@ class EndogenousLoad:
 
     def __init__(self, tracker: SharedLoadTracker) -> None:
         self.tracker = tracker
+        self._level: LoadLevel | None = None
 
     def level_at(self, t: float) -> LoadLevel:
         util = self.tracker.utilization(t)
+        if self._level is not None and self._level.utilization == util:
+            return self._level
         # Queueing-flavoured growth: waits diverge as the GPU saturates
         # (residual service time / (1 - utilisation), capped).
         wait = (0.15e-3 + 0.6e-3 * util) / (1.0 - min(util, 0.9))
-        return LoadLevel(
+        self._level = LoadLevel(
             name=f"shared({util * 100:.0f}%)",
             utilization=util,
             contend_prob=min(0.8 * util, 0.8),
@@ -91,6 +104,7 @@ class EndogenousLoad:
             wait_cv=1.2,
             initial_wait_s=2.0 * util * wait,
         )
+        return self._level
 
 
 class SharedEdgeServer(EdgeServer):

@@ -326,8 +326,8 @@ class EdgeServer:
             else None
         )
 
-        profiles = engine.tail_profiles(point)
-        kernel_times = self.gpu_model.sample_kernel_times(profiles, self._rng)
+        kernel_times = self.gpu_model.sample_kernel_times(engine.profiles, self._rng,
+                                                          start=point)
         level = self.load_schedule.level_at(now_s)
         gpu_busy_s: float | None = None
         schedule = engine.release_schedule(point) if arrivals else ()
@@ -411,8 +411,8 @@ class EdgeServer:
         else:
             results = [None] * len(requests)
 
-        profiles = engine.tail_profiles(point)
-        kernel_times = self.gpu_model.sample_kernel_times(profiles, self._rng)
+        kernel_times = self.gpu_model.sample_kernel_times(engine.profiles, self._rng,
+                                                          start=point)
         scale = batching.batch_time_scale(batching.padded_size(len(requests)))
         level = self.load_schedule.level_at(now_s)
         exec_s = self.scheduler.execute(

@@ -1,5 +1,9 @@
 """Baseline strategies and the DADS-style min-cut."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,17 @@ from repro.core.baselines import (
     dads_min_cut,
 )
 from repro.graph.builder import GraphBuilder
+
+
+def test_import_repro_leaves_networkx_unloaded():
+    """networkx is imported by ``dads_min_cut`` alone, when it runs."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, repro; assert 'networkx' not in sys.modules, 'networkx loaded'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 class TestNeurosurgeon:

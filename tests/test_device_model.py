@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hardware.device_model import DeviceModel, DeviceParams, lognormal_factor
-from repro.models import build_model
+from repro.models import MODEL_BUILDERS, build_model
 from repro.profiling.features import profile_graph
 from tests.test_features import make_profile
 
@@ -114,3 +114,57 @@ class TestNoise:
 
     def test_sample_graph_time_positive(self, device, rng, chain_graph):
         assert device.sample_graph_time(profile_graph(chain_graph), rng) > 0
+
+
+def scalar_graph_time(model, profiles, rng):
+    """Scalar reference: one draw per node, summed with the built-in sum."""
+    sigma = model.params.noise_sigma
+    return sum(model.mean_time(p) * lognormal_factor(rng, sigma) for p in profiles)
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
+class TestSegmentSampling:
+    """Vector segment draws against the per-node scalar reference."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_bit_identical_to_scalar_draws(self, model, seed):
+        device = DeviceModel()
+        profiles = profile_graph(build_model(model))
+        n = len(profiles)
+        for point in (0, n // 2, n):
+            vec, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            head = device.sample_graph_time(profiles, vec, stop=point)
+            tail = device.sample_graph_time(profiles, vec, start=point)
+            assert head == scalar_graph_time(device, profiles[:point], ref)
+            assert tail == scalar_graph_time(device, profiles[point:], ref)
+            assert type(head) is float and type(tail) is float
+            assert vec.bit_generator.state == ref.bit_generator.state
+
+    def test_zero_sigma_consumes_no_draws(self, model):
+        device = DeviceModel(DeviceParams(noise_sigma=0.0))
+        profiles = profile_graph(build_model(model))
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        n = len(profiles)
+        for point in (0, n // 2, n):
+            head = device.sample_graph_time(profiles, rng, stop=point)
+            assert head == sum(device.mean_time(p) for p in profiles[:point])
+            assert type(head) is float
+        assert rng.bit_generator.state == before
+
+
+class TestMeanTable:
+    def test_means_cached_per_list_identity(self, device, chain_graph):
+        profiles = profile_graph(chain_graph)
+        table = device.mean_times(profiles)
+        assert device.mean_times(profiles) is table
+        assert table.tolist() == [device.mean_time(p) for p in profiles]
+        copy = list(profiles)
+        assert device.mean_times(copy) is not table
+        assert device.mean_times(copy).tolist() == table.tolist()
+
+    def test_fresh_lists_do_not_grow_the_table(self, chain_graph):
+        device = DeviceModel()
+        for _ in range(3 * device.MEANS_CACHE_LIMIT):
+            device.mean_times(profile_graph(chain_graph))
+        assert len(device._means) <= device.MEANS_CACHE_LIMIT

@@ -37,13 +37,6 @@ class TestComponents:
     def test_upload_time_local_is_zero(self, alexnet_engine):
         assert alexnet_engine.predicted_upload_time(alexnet_engine.num_nodes, 8e6) == 0.0
 
-    def test_head_tail_profiles_partition_the_graph(self, alexnet_engine):
-        n = alexnet_engine.num_nodes
-        for p in (0, 5, n):
-            head = alexnet_engine.head_profiles(p)
-            tail = alexnet_engine.tail_profiles(p)
-            assert len(head) == p and len(tail) == n - p
-
     def test_point_range_checked(self, alexnet_engine):
         with pytest.raises(ValueError):
             alexnet_engine.predicted_server_time(-1)

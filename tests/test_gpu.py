@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.hardware.background import IDLE, U100H, U100L, U30, U90
-from repro.hardware.gpu_model import GpuModel
+from repro.hardware.device_model import lognormal_factor
+from repro.hardware.gpu_model import GpuModel, GpuParams
 from repro.hardware.gpu_scheduler import GpuScheduler
-from repro.models import build_model
+from repro.models import MODEL_BUILDERS, build_model
 from repro.profiling.features import profile_graph
 from tests.test_features import make_profile
 
@@ -62,6 +63,43 @@ class TestGpuModel:
         profiles = profile_graph(chain_graph)
         totals = [sum(gpu.sample_kernel_times(profiles, rng)) for _ in range(300)]
         assert np.mean(totals) == pytest.approx(gpu.mean_graph_time(profiles), rel=0.03)
+
+
+def scalar_kernel_times(gpu, profiles, rng):
+    """Scalar reference: one draw per kernel, in order."""
+    sigma = gpu.params.noise_sigma
+    return [gpu.mean_time(p) * lognormal_factor(rng, sigma) for p in profiles]
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
+class TestSegmentSampling:
+    """Vector segment draws against the per-kernel scalar reference."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_bit_identical_to_scalar_draws(self, model, seed):
+        gpu = GpuModel()
+        profiles = profile_graph(build_model(model))
+        n = len(profiles)
+        for point in (0, n // 2, n):
+            vec, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            head = gpu.sample_kernel_times(profiles, vec, stop=point)
+            tail = gpu.sample_kernel_times(profiles, vec, start=point)
+            assert head == scalar_kernel_times(gpu, profiles[:point], ref)
+            assert tail == scalar_kernel_times(gpu, profiles[point:], ref)
+            assert all(type(t) is float for t in head + tail)
+            assert vec.bit_generator.state == ref.bit_generator.state
+
+    def test_zero_sigma_consumes_no_draws(self, model):
+        gpu = GpuModel(GpuParams(noise_sigma=0.0))
+        profiles = profile_graph(build_model(model))
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        n = len(profiles)
+        for point in (0, n // 2, n):
+            tail = gpu.sample_kernel_times(profiles, rng, start=point)
+            assert tail == gpu.kernel_times(profiles[point:])
+            assert all(type(t) is float for t in tail)
+        assert rng.bit_generator.state == before
 
 
 class TestScheduler:
