@@ -3,7 +3,7 @@
 Saturates 60 clients against the edge and crashes server 0 mid-run,
 twice — once with a single server behind the gateway, once with four.
 Each offload is routed by the joint ``(partition point, server)`` scan
-(`engine.decide_fleet`) using the per-server load factors the
+(`engine.decide_exit_fleet`) using the per-server load factors the
 supervisor's probes keep fresh.  When server 0 dies the supervisor
 marks it SUSPECT and then DEAD, client retries re-route to a live
 sibling, and on restart the probe loop notices the wiped queue and

@@ -4,7 +4,9 @@
   over the topological order that minimises Problem (1).
 - :mod:`engine` — :class:`LoADPartEngine`, the per-model decision engine
   that precomputes the prefix/suffix arrays once and re-decides in O(n)
-  as the bandwidth estimate and the load factor ``k`` change (§IV).
+  as the bandwidth estimate and the load factor ``k`` change (§IV); its
+  ``(exit, server, point)`` decision grid extends the scan to early exits
+  and edge fleets.
 - :mod:`load_factor` — the influential factor ``k`` of the server
   computation load, and the GPU-utilisation watchdog (§III-C, §IV).
 - :mod:`cache` — the partition cache keyed by partition point (§III-A).
@@ -24,10 +26,10 @@ from repro.core.baselines import (
 from repro.core.blocks import BlockCutReport, block_cut_report, candidate_points
 from repro.core.cache import PartitionCache
 from repro.core.engine import (
-    FleetDecision,
+    GridDecision,
     LoADPartEngine,
     ServerProfile,
-    fleet_brute_force,
+    exit_fleet_brute_force,
     fleet_objective,
 )
 from repro.core.load_factor import GpuWatchdog, LoadFactorMonitor
@@ -36,9 +38,9 @@ from repro.core.partition_algorithm import PartitionDecision, partition_decision
 
 __all__ = [
     "BlockCutReport",
-    "FleetDecision",
     "FullOffloadStrategy",
     "GpuWatchdog",
+    "GridDecision",
     "LoADPartEngine",
     "LoadFactorMonitor",
     "LocalStrategy",
@@ -51,7 +53,7 @@ __all__ = [
     "block_cut_report",
     "candidate_points",
     "dads_min_cut",
-    "fleet_brute_force",
+    "exit_fleet_brute_force",
     "fleet_objective",
     "multi_tier_decision",
     "partition_decision",

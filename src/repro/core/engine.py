@@ -7,6 +7,13 @@ Algorithm 1 are computed exactly once at construction; each call to
 estimate and the latest influential factor ``k`` multiplied onto the
 suffix sum, exactly as the paper's implementation does.
 
+:meth:`decide_exit_fleet` runs that scan over a whole grid of early exits
+and edge servers at once: one NumPy objective array over ``(exit, server,
+point)``, one Algorithm 1 row per ``(exit, server)`` pair, resolved by the
+tie rules documented there into one :class:`GridDecision`.
+:meth:`decide_fleet` (no SLA) and :meth:`decide_exit` (one server) are
+that same scan.
+
 :meth:`decide_joint` extends the scan to the streaming pipeline: for
 every candidate codec it folds the declared encode/decode times and wire
 sizes into the prefix/suffix cost terms, and for chunked uploads it
@@ -74,61 +81,22 @@ class ServerProfile:
 
 
 @dataclass(frozen=True)
-class FleetDecision:
-    """Result of one joint ``(partition point, server)`` decision.
+class GridDecision:
+    """Result of one scan of the ``(exit, server, point)`` decision grid.
 
-    ``server`` is the index of the chosen edge server, or ``None`` when
-    the winning candidate is local inference (``point == n`` — no server
-    involved at all).  ``decisions`` holds the per-server Algorithm 1
-    results, index-aligned with the ``bandwidths_up`` argument of
-    :meth:`LoADPartEngine.decide_fleet` (``None`` for servers excluded
-    from the scan), for tests and routing diagnostics.
-    """
+    ``exit_index`` indexes the engine's exit set (the full network is
+    ``num_exits - 1``, the only exit of an exit-free engine).  ``server``
+    is the chosen server's index, or ``None`` when local inference wins:
+    ``point`` is then the exit's node count and ``predicted_latency`` its
+    device-only time.  ``feasible`` says whether the chosen exit meets
+    ``sla_s`` (always ``True`` without an SLA).
 
-    point: int
-    server: int | None
-    predicted_latency: float
-    decisions: Tuple[PartitionDecision | None, ...]
-
-    @property
-    def is_local(self) -> bool:
-        return self.server is None
-
-
-@dataclass(frozen=True)
-class ExitDecision:
-    """Result of one joint ``(exit, partition point)`` decision.
-
-    ``exit_index`` indexes the engine's exit set (the final exit — the
-    full network — is ``num_exits - 1``); ``feasible`` says whether the
-    chosen exit's best partition meets the SLA (always ``True`` when
-    ``sla_s`` is ``None``).  ``decision`` is the chosen exit's own
-    Algorithm 1 result; ``decisions`` holds every per-exit result,
-    index-aligned with the exit set (``None`` for exits the scan never
-    evaluated, i.e. the degenerate ``sla_s=None`` path).
-    """
-
-    exit_index: int
-    point: int
-    predicted_latency: float
-    accuracy: float
-    sla_s: float | None
-    feasible: bool
-    decision: PartitionDecision
-    decisions: Tuple[PartitionDecision | None, ...]
-
-    @property
-    def is_local(self) -> bool:
-        return self.point == len(self.decision.candidates) - 1
-
-
-@dataclass(frozen=True)
-class ExitFleetDecision:
-    """Result of one joint ``(exit, partition point, server)`` decision.
-
-    The fleet analogue of :class:`ExitDecision`: ``decision`` is the
-    chosen exit's :class:`FleetDecision` and ``decisions`` the per-exit
-    fleet results (``None`` for unevaluated exits).
+    Each ``(exit, allowed server)`` pair is one Algorithm 1 row.
+    ``exits`` lists the evaluated exits (only the final one when ``sla_s``
+    is ``None``) and ``servers`` the allowed server indices, ascending.
+    ``row_points[i, j]`` and ``row_latencies[i, j]`` are the latest
+    minimising point of row ``(exits[i], servers[j])`` and its objective
+    value; ``candidates[i][j]`` is the row's whole objective vector.
     """
 
     exit_index: int
@@ -138,8 +106,11 @@ class ExitFleetDecision:
     accuracy: float
     sla_s: float | None
     feasible: bool
-    decision: FleetDecision
-    decisions: Tuple[FleetDecision | None, ...]
+    exits: Tuple[int, ...]
+    servers: Tuple[int, ...]
+    row_points: np.ndarray
+    row_latencies: np.ndarray
+    candidates: Tuple[np.ndarray, ...]
 
     @property
     def is_local(self) -> bool:
@@ -204,10 +175,6 @@ class LoADPartEngine:
         self.output_bytes = graph.output_spec.nbytes
         self._prefix = compute_prefix_device(self.device_times)
         self._suffix = compute_suffix_edge(self.edge_times)
-        # Per-profile suffix arrays for heterogeneous fleets, keyed by
-        # predictor identity (the cache holds a strong reference, so ids
-        # cannot be recycled while an entry lives).
-        self._profile_suffix_cache: Dict[int, Tuple[object, np.ndarray]] = {}
         # Lazy streaming caches: per-codec wire-size vectors, per-point
         # cut-tensor metadata and release-schedule breakpoints.
         self._codec_cache: Dict[str, object] = {}
@@ -230,6 +197,32 @@ class LoADPartEngine:
             self._exit_engines: Tuple[LoADPartEngine, ...] = tuple(subs)
         else:
             self._exit_engines = (self,)
+        # The decision grid of :meth:`decide_exit_fleet`: every exit's
+        # prefix, ``sizes * 8`` and suffix vectors, padded to the longest
+        # exit.  Padding never wins (infinite prefix); ``_grid_ends`` holds
+        # each exit's local point and ``_grid_local`` its device-only time.
+        self._grid_ends = np.array([e.num_nodes for e in self._exit_engines])
+        self._grid_width = int(self._grid_ends.max()) + 1
+        self._grid_prefix = self._stack_exits(
+            [e._prefix for e in self._exit_engines], np.inf)
+        self._grid_bits = self._stack_exits(
+            [np.asarray(e.sizes[:-1], dtype=np.float64) * 8
+             for e in self._exit_engines], 0.0)
+        self._grid_suffix = self._stack_exits(
+            [e._suffix for e in self._exit_engines], 0.0)
+        self._grid_local = self._grid_prefix[np.arange(self.num_exits),
+                                             self._grid_ends][:, None]
+        # Per-profile suffix stacks for heterogeneous fleets, keyed by
+        # predictor identity (the cache holds a strong reference, so ids
+        # cannot be recycled while an entry lives).
+        self._suffix_stacks: Dict[int, Tuple[object, np.ndarray]] = {}
+
+    def _stack_exits(self, vectors: Sequence[np.ndarray], fill: float) -> np.ndarray:
+        """One vector per exit, stacked and padded with ``fill``."""
+        stack = np.full((len(vectors), self._grid_width), fill)
+        for e, vector in enumerate(vectors):
+            stack[e, :len(vector)] = vector
+        return stack
 
     @property
     def num_nodes(self) -> int:
@@ -293,33 +286,48 @@ class LoADPartEngine:
         )
 
     def _suffix_for(self, profile: ServerProfile | None) -> np.ndarray:
-        """Suffix array for one server profile (cached per predictor)."""
+        """Suffix array of this engine's graph under one server profile."""
         if profile is None or profile.edge_predictor is None:
             return self._suffix
+        return self._suffix_stack(profile)[-1, :self.num_nodes + 1]
+
+    def _suffix_stack(self, profile: ServerProfile | None) -> np.ndarray:
+        """Every exit's suffix row under one profile (cached per predictor)."""
+        if profile is None or profile.edge_predictor is None:
+            return self._grid_suffix
         predictor = profile.edge_predictor
-        key = id(predictor)
-        entry = self._profile_suffix_cache.get(key)
+        entry = self._suffix_stacks.get(id(predictor))
         if entry is None or entry[0] is not predictor:
-            suffix = compute_suffix_edge(predictor.predict_nodes(self.profiles))
-            entry = (predictor, suffix)
-            self._profile_suffix_cache[key] = entry
+            stack = self._stack_exits(
+                [compute_suffix_edge(predictor.predict_nodes(e.profiles))
+                 for e in self._exit_engines], 0.0)
+            entry = (predictor, stack)
+            self._suffix_stacks[id(predictor)] = entry
         return entry[1]
 
     def _resolve_fleet(
         self,
+        sla_s: float | None,
         bandwidths_up: Sequence[float | None],
         ks: Sequence[float],
         extra_latencies_s: Sequence[float] | None,
-        profiles: Sequence[ServerProfile | None] | None,
+        bandwidth_down: float | None,
         allowed: Sequence[int] | None,
-    ) -> Tuple[List[int], List[float], List[float], List[ServerProfile | None]]:
-        """Shared argument resolution for the fleet scan.
+        profiles: Sequence[ServerProfile | None] | None,
+    ) -> Tuple[List[int], List[float], List[float], List[float],
+               List[ServerProfile | None]]:
+        """Argument checks and resolution shared by the grid and its reference.
 
-        Fills ``None`` bandwidth entries from the profile prior and
-        defaults the extra-latency vector from the profiles' link
-        positions.  :func:`fleet_brute_force` calls this too, so the
-        reference implementation cannot diverge on resolution rules.
+        Returns the allowed server indices, ascending, and for each one
+        its upload bandwidth (a ``None`` entry falls back to the profile's
+        prior), load factor, link penalty (defaulting to the profile's
+        link position) and profile.  :func:`exit_fleet_brute_force` calls
+        this too, so the reference cannot diverge on resolution rules.
         """
+        if sla_s is not None and (not math.isfinite(sla_s) or sla_s <= 0):
+            raise ValueError(f"sla_s must be positive and finite, got {sla_s}")
+        if bandwidth_down is not None and bandwidth_down <= 0:
+            raise ValueError("download bandwidth must be positive")
         num = len(bandwidths_up)
         if len(ks) != num:
             raise ValueError("bandwidths_up and ks must have the same length")
@@ -345,7 +353,18 @@ class LoADPartEngine:
         servers = list(range(num)) if allowed is None else sorted(set(allowed))
         if any(not 0 <= s < num for s in servers):
             raise ValueError(f"allowed indices must be in [0, {num})")
-        return servers, bandwidths, list(extra_latencies_s), list(profiles)
+        for s in servers:
+            if bandwidths[s] <= 0:
+                raise ValueError("upload bandwidth must be positive")
+            if ks[s] < 1.0:
+                raise ValueError(
+                    f"the influential factor k must be >= 1, got {ks[s]}")
+            if extra_latencies_s[s] < 0:
+                raise ValueError("extra_latency_s must be non-negative")
+        return (servers, [bandwidths[s] for s in servers],
+                [ks[s] for s in servers],
+                [extra_latencies_s[s] for s in servers],
+                [profiles[s] for s in servers])
 
     def decide_fleet(
         self,
@@ -356,73 +375,12 @@ class LoADPartEngine:
         allowed: Sequence[int] | None = None,
         offload_only: bool = False,
         profiles: Sequence[ServerProfile | None] | None = None,
-    ) -> FleetDecision:
-        """Jointly pick ``(partition point, server)`` across an edge fleet.
-
-        Algorithm 1's prefix/suffix arrays are computed once (at engine
-        construction); the server axis is scanned per candidate — one O(n)
-        pass per server ``s`` with its own influential factor ``k_s``,
-        bandwidth estimate and link base latency, then a strict-``<``
-        minimum across servers.  Tie-breaks: within one server, the latest
-        point wins (Algorithm 1's own rule, preferring local); across
-        servers, the earliest server index wins.  A winning ``point == n``
-        means local inference and ``server is None`` — every server's
-        candidate vector contains the identical local candidate, so local
-        wins only when no server beats it.
-
-        ``profiles`` makes the fleet heterogeneous: server ``s``'s scan
-        uses *its own* edge predictor's suffix array (cached per
-        predictor), its profile's bandwidth prior when
-        ``bandwidths_up[s]`` is ``None``, and its profile's link position
-        when ``extra_latencies_s`` is omitted.  Uniform default profiles
-        reproduce the homogeneous scan bit-for-bit.
-
-        ``allowed`` restricts the scan to a subset of server indices (the
-        gateway drops dead/saturated servers); an empty ``allowed`` yields
-        the pure local decision.  With one allowed server and zero extra
-        latency this reduces bit-for-bit to :meth:`decide`.
-        """
-        num = len(bandwidths_up)
-        servers, bandwidths, extras, profiles = self._resolve_fleet(
-            bandwidths_up, ks, extra_latencies_s, profiles, allowed
-        )
-
-        decisions: List[PartitionDecision | None] = [None] * num
-        best_value = math.inf
-        best_server: int | None = None
-        best_point = self.num_nodes
-        for s in servers:
-            d = self.decide(
-                bandwidths[s],
-                k=ks[s],
-                bandwidth_down=bandwidth_down,
-                offload_only=offload_only,
-                extra_latency_s=extras[s],
-                profile=profiles[s],
-            )
-            decisions[s] = d
-            if d.predicted_latency < best_value:
-                best_value = d.predicted_latency
-                best_server = s
-                best_point = d.point
-        if best_server is None or best_point == self.num_nodes:
-            # No server allowed, or local inference won on merit: the
-            # objective value is the pure device prefix (identical in
-            # every per-server vector).
-            return FleetDecision(
-                point=self.num_nodes,
-                server=None,
-                predicted_latency=float(self._prefix[self.num_nodes]),
-                decisions=tuple(decisions),
-            )
-        return FleetDecision(
-            point=best_point,
-            server=best_server,
-            predicted_latency=best_value,
-            decisions=tuple(decisions),
-        )
-
-    # -- early exits: joint (exit, point) and (exit, point, server) ----------
+    ) -> GridDecision:
+        """Jointly pick ``(partition point, server)``: the grid without an SLA."""
+        return self.decide_exit_fleet(
+            None, bandwidths_up, ks, extra_latencies_s=extra_latencies_s,
+            bandwidth_down=bandwidth_down, allowed=allowed,
+            offload_only=offload_only, profiles=profiles)
 
     def decide_exit(
         self,
@@ -433,50 +391,12 @@ class LoADPartEngine:
         offload_only: bool = False,
         extra_latency_s: float = 0.0,
         profile: ServerProfile | None = None,
-    ) -> ExitDecision:
-        """Jointly pick ``(exit, partition point)`` under a latency SLA.
-
-        One Algorithm 1 scan per exit sub-graph (each reuses its own
-        precomputed prefix/suffix arrays), then the exit axis resolves by
-        *maximum accuracy subject to deadline*: the latest exit whose best
-        partition's predicted latency is ``<= sla_s`` wins — accuracies
-        are nondecreasing in exit order, so "latest feasible" is "most
-        accurate feasible".  When no exit is feasible the decision falls
-        back to the globally fastest ``(exit, point)`` pair (strict ``<``,
-        earliest exit on ties) with ``feasible=False`` — the runtime still
-        serves the request as fast as it can.
-
-        ``sla_s=None`` (and any exit-free engine) reproduces
-        :meth:`decide` bit-for-bit: the returned ``decision`` is exactly
-        the plain scan's :class:`PartitionDecision` and no other exit is
-        evaluated.
-        """
-        last = self.num_exits - 1
-        if sla_s is None:
-            d = self.decide(
-                bandwidth_up, k=k, bandwidth_down=bandwidth_down,
-                offload_only=offload_only, extra_latency_s=extra_latency_s,
-                profile=profile)
-            return ExitDecision(
-                exit_index=last, point=d.point,
-                predicted_latency=d.predicted_latency,
-                accuracy=self.exit_accuracy(), sla_s=None, feasible=True,
-                decision=d, decisions=(None,) * last + (d,))
-        if not math.isfinite(sla_s) or sla_s <= 0:
-            raise ValueError(f"sla_s must be positive and finite, got {sla_s}")
-        decisions = tuple(
-            eng.decide(bandwidth_up, k=k, bandwidth_down=bandwidth_down,
-                       offload_only=offload_only,
-                       extra_latency_s=extra_latency_s, profile=profile)
-            for eng in self._exit_engines)
-        chosen, feasible = self._pick_exit(
-            sla_s, [d.predicted_latency for d in decisions])
-        d = decisions[chosen]
-        return ExitDecision(
-            exit_index=chosen, point=d.point,
-            predicted_latency=d.predicted_latency,
-            accuracy=self.exit_accuracy(chosen), sla_s=sla_s,
-            feasible=feasible, decision=d, decisions=decisions)
+    ) -> GridDecision:
+        """Jointly pick ``(exit, partition point)``: the grid on one server."""
+        return self.decide_exit_fleet(
+            sla_s, [bandwidth_up], [k], extra_latencies_s=[extra_latency_s],
+            bandwidth_down=bandwidth_down, offload_only=offload_only,
+            profiles=[profile])
 
     def decide_exit_fleet(
         self,
@@ -488,54 +408,105 @@ class LoADPartEngine:
         allowed: Sequence[int] | None = None,
         offload_only: bool = False,
         profiles: Sequence[ServerProfile | None] | None = None,
-    ) -> ExitFleetDecision:
-        """Jointly pick ``(exit, partition point, server)`` across a fleet.
+    ) -> GridDecision:
+        """Jointly pick ``(exit, server, partition point)`` in one scan.
 
-        The fleet analogue of :meth:`decide_exit`: one
-        :meth:`decide_fleet` scan per exit sub-graph, then the same exit
-        rule — latest exit whose best fleet candidate meets the SLA, else
-        the globally fastest ``(exit, point, server)`` triple (strict
-        ``<``, earliest exit on ties).  ``sla_s=None`` and exit-free
-        engines reproduce :meth:`decide_fleet` bit-for-bit.
+        Every ``(exit, allowed server)`` pair is one Algorithm 1 row, and
+        all rows are evaluated at once over an ``(exit, server, point)``
+        array.  An offloading candidate costs
+
+            (prefix + k_s * suffix) + ((sizes * 8 / B_s + download) + extra_s)
+
+        in exactly :func:`partition_decision`'s operation order, so each
+        row is bit-identical to :meth:`decide` on that exit and server;
+        the local candidate costs the device prefix alone.  Tie rules:
+
+        - within a row, the latest minimising point wins (Algorithm 1's
+          ``<=``, which prefers local); ``offload_only`` drops the local
+          candidate;
+        - across servers, the earliest allowed server wins, so local wins
+          only when every row picks it (``server`` is then ``None``);
+        - across exits, the latest exit whose best latency is ``<= sla_s``
+          wins, else the first fastest exit with ``feasible=False``.
+          ``sla_s=None`` evaluates the final exit only.
+
+        Server ``s`` is described by ``ks[s]``, ``bandwidths_up[s]`` (a
+        ``None`` entry falls back to ``profiles[s]``'s bandwidth prior),
+        ``extra_latencies_s[s]`` (default: the profile's link position)
+        and ``profiles[s]``'s own edge predictor.  ``allowed`` restricts
+        the scan to a subset of servers (the gateway drops dead and
+        saturated ones); an empty ``allowed`` yields the local decision.
         """
-        last = self.num_exits - 1
-        if sla_s is None:
-            d = self.decide_fleet(
-                bandwidths_up, ks, extra_latencies_s=extra_latencies_s,
-                bandwidth_down=bandwidth_down, allowed=allowed,
-                offload_only=offload_only, profiles=profiles)
-            return ExitFleetDecision(
-                exit_index=last, point=d.point, server=d.server,
-                predicted_latency=d.predicted_latency,
-                accuracy=self.exit_accuracy(), sla_s=None, feasible=True,
-                decision=d, decisions=(None,) * last + (d,))
-        if not math.isfinite(sla_s) or sla_s <= 0:
-            raise ValueError(f"sla_s must be positive and finite, got {sla_s}")
-        decisions = tuple(
-            eng.decide_fleet(bandwidths_up, ks,
-                             extra_latencies_s=extra_latencies_s,
-                             bandwidth_down=bandwidth_down, allowed=allowed,
-                             offload_only=offload_only, profiles=profiles)
-            for eng in self._exit_engines)
-        chosen, feasible = self._pick_exit(
-            sla_s, [d.predicted_latency for d in decisions])
-        d = decisions[chosen]
-        return ExitFleetDecision(
-            exit_index=chosen, point=d.point, server=d.server,
-            predicted_latency=d.predicted_latency,
-            accuracy=self.exit_accuracy(chosen), sla_s=sla_s,
-            feasible=feasible, decision=d, decisions=decisions)
+        servers, bandwidths, row_ks, extras, row_profiles = self._resolve_fleet(
+            sla_s, bandwidths_up, ks, extra_latencies_s, bandwidth_down,
+            allowed, profiles)
+        first = self.num_exits - 1 if sla_s is None else 0
+        ends = self._grid_ends[first:]
+        rows = np.arange(len(ends))
+
+        stacks = [self._suffix_stack(p) for p in row_profiles]
+        if len({id(stack) for stack in stacks}) <= 1:
+            # One shared predictor: broadcast its stack, do not copy it.
+            suffix = (stacks[0] if stacks else self._grid_suffix)[first:, None, :]
+        else:
+            suffix = np.stack([stack[first:] for stack in stacks], axis=1)
+        grid = np.array(row_ks, dtype=np.float64)[:, None] * suffix
+        grid += self._grid_prefix[first:, None, :]
+        net = (self._grid_bits[first:, None, :]
+               / np.array(bandwidths, dtype=np.float64)[:, None])
+        if bandwidth_down is not None:
+            net += np.array([e.output_bytes * 8 / bandwidth_down
+                             for e in self._exit_engines[first:]])[:, None, None]
+        net += np.array(extras, dtype=np.float64)[:, None]
+        grid += net
+        # Local inference has no network and no server term.
+        grid[rows, :, ends] = self._grid_local[first:]
+        scan = grid
+        if offload_only:
+            scan = grid.copy()
+            scan[rows, :, ends] = np.inf
+        # First minimum of the reversed rows: the latest point wins ties.
+        points = self._grid_width - 1 - scan[..., ::-1].argmin(axis=-1)
+        latencies = scan.min(axis=-1)
+
+        if servers:
+            best = latencies.argmin(axis=1)  # the earliest server wins ties
+            exit_points = points[rows, best].tolist()
+            exit_latencies = latencies[rows, best].tolist()
+            exit_servers = [servers[j] if p < n else None for j, p, n in
+                            zip(best.tolist(), exit_points, ends.tolist())]
+        else:
+            exit_points = ends.tolist()
+            exit_latencies = self._grid_local[first:, 0].tolist()
+            exit_servers = [None] * len(ends)
+        chosen, feasible = ((0, True) if sla_s is None
+                            else self._pick_exit(sla_s, exit_latencies))
+        return GridDecision(
+            exit_index=first + chosen,
+            point=exit_points[chosen],
+            server=exit_servers[chosen],
+            predicted_latency=exit_latencies[chosen],
+            accuracy=self.exit_accuracy(first + chosen),
+            sla_s=sla_s,
+            feasible=feasible,
+            exits=tuple(range(first, self.num_exits)),
+            servers=tuple(servers),
+            row_points=points,
+            row_latencies=latencies,
+            candidates=tuple(grid[e, :, :n + 1]
+                             for e, n in enumerate(ends.tolist())),
+        )
 
     @staticmethod
     def _pick_exit(sla_s: float, latencies: Sequence[float]) -> Tuple[int, bool]:
-        """Exit rule shared by the single-server and fleet scans.
+        """The exit rule: latest exit meeting the SLA, else the fastest.
 
-        Latest (most accurate) exit meeting the SLA; if none does, the
-        fastest exit overall — strict ``<`` on a forward scan, so the
-        earliest exit wins latency ties.  With this fallback a *tighter*
-        SLA can never select a *later* exit (SLA monotonicity): the
-        global argmin's latency is a lower bound on every feasible
-        latency at any looser SLA.
+        Accuracies are nondecreasing in exit order, so "latest feasible"
+        is "most accurate feasible".  The fallback is strict ``<`` on a
+        forward scan, so the earliest exit wins latency ties.  With this
+        fallback a *tighter* SLA can never select a *later* exit (SLA
+        monotonicity): the global argmin's latency is a lower bound on
+        every feasible latency at any looser SLA.
         """
         for e in range(len(latencies) - 1, -1, -1):
             if latencies[e] <= sla_s:
@@ -846,13 +817,14 @@ class LoADPartEngine:
             raise ValueError(f"partition point {point} out of range [0, {self.num_nodes}]")
 
 
-# -- differential references for the fleet scan ------------------------------
+# -- differential references for the decision grid --------------------------
 #
-# ``decide_fleet`` must agree with these two independent implementations:
-# ``fleet_objective`` restates Problem (1) for a single ``(point, server)``
-# pair by direct summation (no prefix/suffix arrays — numerically close,
-# not bit-equal), and ``fleet_brute_force`` enumerates every pair with the
-# scalar mirror of ``partition_decision``'s vector arithmetic (bit-equal).
+# ``decide_exit_fleet`` must agree with these two independent
+# implementations: ``fleet_objective`` restates Problem (1) for a single
+# ``(point, server)`` pair by direct summation (no prefix/suffix arrays —
+# numerically close, not bit-equal), and ``exit_fleet_brute_force``
+# enumerates every ``(exit, server, point)`` triple with the scalar mirror
+# of ``partition_decision``'s vector arithmetic (bit-equal).
 
 
 def fleet_objective(
@@ -886,190 +858,6 @@ def fleet_objective(
     return total
 
 
-def fleet_brute_force(
-    engine: LoADPartEngine,
-    bandwidths_up: Sequence[float | None],
-    ks: Sequence[float],
-    extra_latencies_s: Sequence[float] | None = None,
-    bandwidth_down: float | None = None,
-    allowed: Sequence[int] | None = None,
-    offload_only: bool = False,
-    profiles: Sequence[ServerProfile | None] | None = None,
-) -> FleetDecision:
-    """Exhaustive ``(point, server)`` reference for ``decide_fleet``.
-
-    Enumerates every pair with explicit scalar loops, mirroring the
-    vectorised arithmetic of ``partition_decision`` operation for
-    operation (same IEEE-754 evaluation order), so the result — point,
-    server, predicted latency, and every per-server candidate vector —
-    must match ``decide_fleet`` *bitwise*, not just approximately.
-    Tie-breaks are mirrored too: last point within a server (``<=``
-    forward scan), earliest server across servers (strict ``<``).
-    """
-    num = len(bandwidths_up)
-    servers, bandwidths, extras, profiles = engine._resolve_fleet(
-        bandwidths_up, ks, extra_latencies_s, profiles, allowed
-    )
-    n = engine.num_nodes
-    prefix = engine._prefix
-    sizes = engine.sizes
-    download = 0.0
-    if bandwidth_down is not None:
-        if bandwidth_down <= 0:
-            raise ValueError("download bandwidth must be positive")
-        download = engine.output_bytes * 8 / bandwidth_down
-
-    decisions: List[PartitionDecision | None] = [None] * num
-    best_value = math.inf
-    best_server: int | None = None
-    best_point = n
-    for s in servers:
-        k = ks[s]
-        if k < 1.0:
-            raise ValueError(f"the influential factor k must be >= 1, got {k}")
-        bw = bandwidths[s]
-        if bw <= 0:
-            raise ValueError("upload bandwidth must be positive")
-        extra = extras[s]
-        if extra < 0:
-            raise ValueError("extra_latency_s must be non-negative")
-        suffix = engine._suffix_for(profiles[s])
-        vals = np.empty(n + 1, dtype=np.float64)
-        scan_len = n if offload_only else n + 1
-        sp = 0
-        sv = math.inf
-        for p in range(n + 1):
-            c = prefix[p] + k * suffix[p]
-            if p < n:
-                c = c + (sizes[p] * 8 / bw + download + extra)
-            vals[p] = c
-            if p < scan_len and c <= sv:
-                sp, sv = p, c
-        d = PartitionDecision(
-            point=sp, predicted_latency=float(vals[sp]), candidates=vals
-        )
-        decisions[s] = d
-        if d.predicted_latency < best_value:
-            best_value = d.predicted_latency
-            best_server = s
-            best_point = d.point
-    if best_server is None or best_point == n:
-        return FleetDecision(
-            point=n,
-            server=None,
-            predicted_latency=float(prefix[n]),
-            decisions=tuple(decisions),
-        )
-    return FleetDecision(
-        point=best_point,
-        server=best_server,
-        predicted_latency=best_value,
-        decisions=tuple(decisions),
-    )
-
-
-# -- differential references for the exit grid --------------------------------
-#
-# ``decide_exit`` / ``decide_exit_fleet`` must agree bitwise with these
-# exhaustive enumerations of every (exit, point) — resp. (exit, point,
-# server) — pair.  Each exit's objective vector is rebuilt with the same
-# scalar arithmetic mirrors as ``fleet_brute_force`` (independent per-exit
-# predictions via each sub-graph's own profiles), and the exit-selection
-# rule is restated with explicit loops so a bug in ``_pick_exit`` cannot
-# hide in both implementations.
-
-
-def _scalar_scan(
-    engine: LoADPartEngine,
-    bandwidth_up: float,
-    k: float,
-    bandwidth_down: float | None,
-    offload_only: bool,
-    extra_latency_s: float,
-    profile: ServerProfile | None,
-) -> PartitionDecision:
-    """Scalar mirror of ``partition_decision`` for one exit sub-graph."""
-    if k < 1.0:
-        raise ValueError(f"the influential factor k must be >= 1, got {k}")
-    if bandwidth_up <= 0:
-        raise ValueError("upload bandwidth must be positive")
-    if extra_latency_s < 0:
-        raise ValueError("extra_latency_s must be non-negative")
-    download = 0.0
-    if bandwidth_down is not None:
-        if bandwidth_down <= 0:
-            raise ValueError("download bandwidth must be positive")
-        download = engine.output_bytes * 8 / bandwidth_down
-    n = engine.num_nodes
-    prefix = engine._prefix
-    suffix = engine._suffix_for(profile)
-    sizes = engine.sizes
-    vals = np.empty(n + 1, dtype=np.float64)
-    scan_len = n if offload_only else n + 1
-    sp = 0
-    sv = math.inf
-    for p in range(n + 1):
-        c = prefix[p] + k * suffix[p]
-        if p < n:
-            c = c + (sizes[p] * 8 / bandwidth_up + download + extra_latency_s)
-        vals[p] = c
-        if p < scan_len and c <= sv:
-            sp, sv = p, c
-    return PartitionDecision(point=sp, predicted_latency=float(vals[sp]),
-                             candidates=vals)
-
-
-def exit_brute_force(
-    engine: LoADPartEngine,
-    sla_s: float | None,
-    bandwidth_up: float,
-    k: float = 1.0,
-    bandwidth_down: float | None = None,
-    offload_only: bool = False,
-    extra_latency_s: float = 0.0,
-    profile: ServerProfile | None = None,
-) -> ExitDecision:
-    """Exhaustive ``(exit, point)`` reference for ``decide_exit``.
-
-    Every exit's objective vector is enumerated point by point with the
-    scalar mirror of Algorithm 1's vector arithmetic; the exit axis is
-    then resolved by explicit loops — backward for the latest feasible
-    exit, forward strict-``<`` for the no-feasible-exit fallback — so the
-    result must match ``decide_exit`` bitwise.
-    """
-    last = engine.num_exits - 1
-    if sla_s is None:
-        d = _scalar_scan(engine, bandwidth_up, k, bandwidth_down,
-                         offload_only, extra_latency_s, profile)
-        return ExitDecision(
-            exit_index=last, point=d.point,
-            predicted_latency=d.predicted_latency,
-            accuracy=engine.exit_accuracy(), sla_s=None, feasible=True,
-            decision=d, decisions=(None,) * last + (d,))
-    decisions = tuple(
-        _scalar_scan(engine.exit_engine(e), bandwidth_up, k, bandwidth_down,
-                     offload_only, extra_latency_s, profile)
-        for e in range(last + 1))
-    chosen = None
-    feasible = True
-    for e in range(last, -1, -1):
-        if decisions[e].predicted_latency <= sla_s:
-            chosen = e
-            break
-    if chosen is None:
-        feasible = False
-        chosen = 0
-        for e in range(1, last + 1):
-            if decisions[e].predicted_latency < decisions[chosen].predicted_latency:
-                chosen = e
-    d = decisions[chosen]
-    return ExitDecision(
-        exit_index=chosen, point=d.point,
-        predicted_latency=d.predicted_latency,
-        accuracy=engine.exit_accuracy(chosen), sla_s=sla_s,
-        feasible=feasible, decision=d, decisions=decisions)
-
-
 def exit_fleet_brute_force(
     engine: LoADPartEngine,
     sla_s: float | None,
@@ -1080,46 +868,80 @@ def exit_fleet_brute_force(
     allowed: Sequence[int] | None = None,
     offload_only: bool = False,
     profiles: Sequence[ServerProfile | None] | None = None,
-) -> ExitFleetDecision:
-    """Exhaustive ``(exit, point, server)`` reference for ``decide_exit_fleet``.
+) -> GridDecision:
+    """Exhaustive ``(exit, server, point)`` reference for the decision grid.
 
-    Per exit, :func:`fleet_brute_force` enumerates every ``(point,
-    server)`` pair; the exit axis is then resolved with the same explicit
-    loops as :func:`exit_brute_force`.
+    Every row is enumerated point by point on its exit sub-engine's own
+    prefix and suffix arrays, with explicit scalar loops that mirror
+    ``partition_decision``'s vector arithmetic operation for operation
+    (same IEEE-754 evaluation order).  The axes are resolved by explicit
+    loops too: ``<=`` forward over points (latest minimiser), strict
+    ``<`` forward over servers (earliest), backward over exits for the
+    latest feasible one and strict ``<`` forward for the fastest.  Every
+    field and every row must match ``decide_exit_fleet`` *bitwise*.
     """
+    servers, bandwidths, row_ks, extras, row_profiles = engine._resolve_fleet(
+        sla_s, bandwidths_up, ks, extra_latencies_s, bandwidth_down, allowed,
+        profiles)
     last = engine.num_exits - 1
-    if sla_s is None:
-        d = fleet_brute_force(
-            engine, bandwidths_up, ks, extra_latencies_s=extra_latencies_s,
-            bandwidth_down=bandwidth_down, allowed=allowed,
-            offload_only=offload_only, profiles=profiles)
-        return ExitFleetDecision(
-            exit_index=last, point=d.point, server=d.server,
-            predicted_latency=d.predicted_latency,
-            accuracy=engine.exit_accuracy(), sla_s=None, feasible=True,
-            decision=d, decisions=(None,) * last + (d,))
-    decisions = tuple(
-        fleet_brute_force(
-            engine.exit_engine(e), bandwidths_up, ks,
-            extra_latencies_s=extra_latencies_s,
-            bandwidth_down=bandwidth_down, allowed=allowed,
-            offload_only=offload_only, profiles=profiles)
-        for e in range(last + 1))
-    chosen = None
-    feasible = True
-    for e in range(last, -1, -1):
-        if decisions[e].predicted_latency <= sla_s:
-            chosen = e
-            break
-    if chosen is None:
-        feasible = False
-        chosen = 0
-        for e in range(1, last + 1):
-            if decisions[e].predicted_latency < decisions[chosen].predicted_latency:
-                chosen = e
-    d = decisions[chosen]
-    return ExitFleetDecision(
-        exit_index=chosen, point=d.point, server=d.server,
-        predicted_latency=d.predicted_latency,
-        accuracy=engine.exit_accuracy(chosen), sla_s=sla_s,
-        feasible=feasible, decision=d, decisions=decisions)
+    exits = (last,) if sla_s is None else tuple(range(last + 1))
+    row_points = np.zeros((len(exits), len(servers)), dtype=np.intp)
+    row_latencies = np.zeros((len(exits), len(servers)))
+    candidates = []
+    per_exit = []  # (latency, point, server) of each exit's best row
+    for i, e in enumerate(exits):
+        sub = engine.exit_engine(e)
+        n = sub.num_nodes
+        prefix = sub._prefix
+        download = 0.0
+        if bandwidth_down is not None:
+            download = sub.output_bytes * 8 / bandwidth_down
+        vals = np.empty((len(servers), n + 1))
+        best_value, best_server, best_point = math.inf, None, n
+        for j, s in enumerate(servers):
+            suffix = sub._suffix_for(row_profiles[j])
+            sp, sv = 0, math.inf
+            for p in range(n + 1):
+                c = prefix[p] + row_ks[j] * suffix[p]
+                if p < n:
+                    c = c + (sub.sizes[p] * 8 / bandwidths[j] + download
+                             + extras[j])
+                vals[j, p] = c
+                if (p < n or not offload_only) and c <= sv:
+                    sp, sv = p, c
+            row_points[i, j] = sp
+            row_latencies[i, j] = sv
+            if sv < best_value:
+                best_value, best_server, best_point = sv, s, sp
+        if best_server is None or best_point == n:
+            best_value, best_server, best_point = prefix[n], None, n
+        candidates.append(vals)
+        per_exit.append((float(best_value), best_point, best_server))
+
+    chosen, feasible = len(exits) - 1, True
+    if sla_s is not None:
+        for i in range(len(exits) - 1, -1, -1):
+            if per_exit[i][0] <= sla_s:
+                chosen = i
+                break
+        else:
+            feasible = False
+            chosen = 0
+            for i in range(1, len(exits)):
+                if per_exit[i][0] < per_exit[chosen][0]:
+                    chosen = i
+    latency, point, server = per_exit[chosen]
+    return GridDecision(
+        exit_index=exits[chosen],
+        point=point,
+        server=server,
+        predicted_latency=latency,
+        accuracy=engine.exit_accuracy(exits[chosen]),
+        sla_s=sla_s,
+        feasible=feasible,
+        exits=exits,
+        servers=tuple(servers),
+        row_points=row_points,
+        row_latencies=row_latencies,
+        candidates=tuple(candidates),
+    )

@@ -147,72 +147,6 @@ def multi_tier_decision(
     )
 
 
-@dataclass(frozen=True)
-class MultiTierExitDecision:
-    """Result of the SLA-aware exit rule over per-exit three-tier scans."""
-
-    exit_index: int
-    feasible: bool
-    decision: MultiTierDecision
-    decisions: tuple
-
-
-def multi_tier_exit_decision(
-    exit_workloads: Sequence[tuple],
-    sla_s: float | None,
-    bandwidth_device_edge: float,
-    bandwidth_edge_cloud: float,
-    k_edge: float = 1.0,
-    k_cloud: float = 1.0,
-    extra_latency_edge_s: float = 0.0,
-    extra_latency_cloud_s: float = 0.0,
-) -> MultiTierExitDecision:
-    """The engine's exit rule lifted to the device/edge/cloud chain.
-
-    ``exit_workloads`` holds one ``(device_times, edge_times, cloud_times,
-    sizes)`` tuple per exit, earliest first, final exit last.  Each exit
-    gets its own O(n) two-cut scan; the exit axis then resolves exactly
-    like :meth:`LoADPartEngine.decide_exit` — latest exit whose optimum
-    meets the SLA, else the globally fastest exit (strict ``<``, earliest
-    on ties).  ``sla_s=None`` evaluates only the final exit, making the
-    wrapper a zero-cost alias of :func:`multi_tier_decision`.
-    """
-    if not exit_workloads:
-        raise ValueError("exit_workloads must not be empty")
-
-    def scan(workload):
-        device_times, edge_times, cloud_times, sizes = workload
-        return multi_tier_decision(
-            device_times, edge_times, cloud_times, sizes,
-            bandwidth_device_edge, bandwidth_edge_cloud,
-            k_edge=k_edge, k_cloud=k_cloud,
-            extra_latency_edge_s=extra_latency_edge_s,
-            extra_latency_cloud_s=extra_latency_cloud_s,
-        )
-
-    last = len(exit_workloads) - 1
-    if sla_s is None:
-        d = scan(exit_workloads[last])
-        return MultiTierExitDecision(
-            exit_index=last, feasible=True, decision=d,
-            decisions=(None,) * last + (d,))
-    if sla_s <= 0:
-        raise ValueError(f"sla_s must be positive, got {sla_s}")
-    decisions = tuple(scan(w) for w in exit_workloads)
-    for e in range(last, -1, -1):
-        if decisions[e].predicted_latency <= sla_s:
-            return MultiTierExitDecision(
-                exit_index=e, feasible=True, decision=decisions[e],
-                decisions=decisions)
-    fastest = 0
-    for e in range(1, last + 1):
-        if decisions[e].predicted_latency < decisions[fastest].predicted_latency:
-            fastest = e
-    return MultiTierExitDecision(
-        exit_index=fastest, feasible=False, decision=decisions[fastest],
-        decisions=decisions)
-
-
 def multi_tier_objective(
     p: int,
     q: int,

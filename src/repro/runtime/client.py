@@ -387,10 +387,9 @@ class UserDevice:
                 decision = joint
             elif (self.sla_s is not None
                     and hasattr(self.policy, "decide_exit")):
-                ed = self.policy.decide_exit(budget, bandwidth, k=k)
-                decision = ed.decision
+                decision = self.policy.decide_exit(budget, bandwidth, k=k)
                 if self.engine.has_exits:
-                    exit_index = ed.exit_index
+                    exit_index = decision.exit_index
                     active = self.engine.exit_engine(exit_index)
             else:
                 decision = self.policy.decide(bandwidth, k=k)

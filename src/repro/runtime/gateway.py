@@ -5,11 +5,11 @@ local fallback.  This module shards the edge side: N
 :class:`~repro.runtime.multi.SharedEdgeServer` instances — each with its
 own GPU, load-factor monitor, fault plan and link — sit behind an
 :class:`EdgeGateway` that routes every offload by solving the joint
-``(partition point, server)`` decision
-(:meth:`~repro.core.engine.LoADPartEngine.decide_fleet`): Algorithm 1's
-prefix/suffix arrays are scanned once per candidate server with that
-server's influential factor ``k_s``, bandwidth estimate and link base
-latency, and the global minimum wins.  Per-server inputs come from the
+``(exit, partition point, server)`` decision
+(:meth:`~repro.core.engine.LoADPartEngine.decide_exit_fleet`): one
+Algorithm 1 row per candidate server with that server's influential
+factor ``k_s``, bandwidth estimate and link base latency, scanned at
+once, and the global minimum wins.  Per-server inputs come from the
 :class:`~repro.runtime.supervisor.FleetSupervisor`; where the supervisor
 has no data (probing disabled, or a cold start) the client's own §IV
 estimates are the fallback — which is exactly what makes a 1-server
@@ -39,18 +39,12 @@ zero-extra reference and farther servers pay the difference.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Deque, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.engine import (
-    ExitDecision,
-    FleetDecision,
-    LoADPartEngine,
-    ServerProfile,
-)
-from repro.core.partition_algorithm import PartitionDecision
+from repro.core.engine import GridDecision, LoADPartEngine, ServerProfile
 from repro.network.channel import Channel, NetworkParams
 from repro.network.faults import FaultyChannel, ServerFaultPlan
 from repro.network.traces import BandwidthTrace, ConstantTrace
@@ -185,7 +179,6 @@ class EdgeGateway:
         self.routed_counts: Dict[int, int] = {sid: 0 for sid in self._ids}
         #: Requests resolved locally because every live server was saturated.
         self.rejected_count = 0
-        self.last_decision: FleetDecision | None = None
 
     def _extra_latencies(self) -> List[float]:
         """Per-server relative link penalties for the fleet scan.
@@ -253,26 +246,35 @@ class EdgeGateway:
         self._credits[index] -= sum(weights)
         return index
 
-    def _local_decision(self, bandwidth_up: float, k: float) -> PartitionDecision:
-        d = self.engine.decide(bandwidth_up, k=k)
-        n = self.engine.num_nodes
-        return PartitionDecision(point=n,
-                                 predicted_latency=float(d.candidates[n]),
-                                 candidates=d.candidates)
-
     def route(self, now_s: float, bandwidth_fallback: float, k_fallback: float,
               exclude: Sequence[int] = (),
-              ) -> Tuple[int | None, PartitionDecision]:
-        """Pick ``(server, partition decision)`` for one offload request.
+              ) -> Tuple[int | None, GridDecision]:
+        """:meth:`route_exit` without an SLA."""
+        return self.route_exit(now_s, None, bandwidth_fallback, k_fallback,
+                               exclude=exclude)
 
-        ``bandwidth_fallback`` / ``k_fallback`` are the requesting
-        client's own §IV estimates, used for any server the supervisor
-        has no fresh data about.  ``exclude`` lists servers the caller
-        would rather avoid (the previously-failed server of a retry); it
-        is a preference — when it empties the candidate pool, the full
-        pool is used instead.  Returns ``(None, local decision)`` when
-        the whole fleet is dark or saturated, or when local inference
-        wins on merit.
+    def route_exit(self, now_s: float, sla_s: float | None,
+                   bandwidth_fallback: float, k_fallback: float,
+                   exclude: Sequence[int] = (),
+                   ) -> Tuple[int | None, GridDecision]:
+        """Pick ``(server, decision)`` for one offload request.
+
+        One :meth:`~repro.core.engine.LoADPartEngine.decide_exit_fleet`
+        scan over the admitted servers, with the exit axis on top when
+        ``sla_s`` is set.  ``bandwidth_fallback`` / ``k_fallback`` are the
+        requesting client's own §IV estimates, used for any server the
+        supervisor has no fresh data about.  ``exclude`` lists servers the
+        caller would rather avoid (the previously-failed server of a
+        retry); it is a preference — when it empties the candidate pool,
+        the full pool is used instead.  Returns ``(None, local decision)``
+        when the whole fleet is dark or saturated (no server admitted), or
+        when local inference wins on merit.
+
+        Near-tied servers of the chosen exit rotate (see
+        ``GatewayConfig.rebalance_tolerance``), and when the exit meets
+        the SLA only among servers still predicted to meet it, so
+        rotation never trades a met deadline for load spreading.  The
+        returned decision then carries the rotated server's own row.
         """
         sup = self.supervisor
         for sid in self._ids:
@@ -282,154 +284,50 @@ class EdgeGateway:
             # Breakers all open: fall back to merely not-dead servers so a
             # lone-server fleet keeps retrying its only path.
             pool = list(sup.live_servers())
-        if not pool:
-            self.last_decision = None
-            return None, self._local_decision(bandwidth_fallback, k_fallback)
         preferred = [sid for sid in pool if sid not in exclude] or pool
-        admitted = [sid for sid in preferred if self._has_room(sid, now_s)]
-        if not admitted:
-            admitted = [sid for sid in pool if self._has_room(sid, now_s)]
-        if not admitted:
+        admitted = ([sid for sid in preferred if self._has_room(sid, now_s)]
+                    or [sid for sid in pool if self._has_room(sid, now_s)])
+        if pool and not admitted:
             self.rejected_count += 1
-            self.last_decision = None
-            return None, self._local_decision(bandwidth_fallback, k_fallback)
 
         bandwidths = [
             sup.bandwidth_for(sid, self._bandwidth_prior(i, bandwidth_fallback))
             for i, sid in enumerate(self._ids)]
         ks = [sup.k_for(sid, now_s, k_fallback) for sid in self._ids]
-        decision = self.engine.decide_fleet(
-            bandwidths, ks,
-            extra_latencies_s=self._extra_latencies(),
-            allowed=[self._index(sid) for sid in admitted],
-            profiles=self.profiles,
-        )
-        self.last_decision = decision
-        if decision.server is None:
-            # Local inference won on merit; hand back the winning vector.
-            best = next((d for d in decision.decisions if d is not None), None)
-            if best is None:
-                return None, self._local_decision(bandwidth_fallback, k_fallback)
-            return None, PartitionDecision(
-                point=self.engine.num_nodes,
-                predicted_latency=decision.predicted_latency,
-                candidates=best.candidates)
-        # Rotate among near-tied servers (see
-        # ``GatewayConfig.rebalance_tolerance``): a strictly-better
-        # server (beyond the band) still wins outright, and a 1-server
-        # fleet has no siblings to rotate to — the degenerate identity
-        # is untouched.
-        band = decision.predicted_latency * (1.0 + self.config.rebalance_tolerance)
-        ties = [i for i, d in enumerate(decision.decisions)
-                if d is not None and d.point < self.engine.num_nodes
-                and d.predicted_latency <= band]
-        index = self._pick_tied(ties, ks)
-        sid = self._ids[index]
-        if self.config.admission_limit is not None:
-            self._admitted[sid].append(now_s)
-        self.routed_counts[sid] += 1
-        chosen = decision.decisions[index]
-        assert chosen is not None
-        return sid, chosen
-
-    # -- SLA-aware routing -----------------------------------------------------
-
-    def _local_exit_decision(self, sla_s: float | None, bandwidth_up: float,
-                             k: float) -> Tuple[int, PartitionDecision, bool]:
-        """Local resolution of an SLA request: the exit rule over the
-        fully-local candidates of every exit (latest exit whose local time
-        meets the SLA, else the fastest local exit)."""
-        latencies: List[float] = []
-        pds: List[PartitionDecision] = []
-        for e in range(self.engine.num_exits):
-            eng = self.engine.exit_engine(e)
-            d = eng.decide(bandwidth_up, k=k)
-            n = eng.num_nodes
-            pds.append(PartitionDecision(
-                point=n, predicted_latency=float(d.candidates[n]),
-                candidates=d.candidates))
-            latencies.append(float(d.candidates[n]))
-        if sla_s is None:
-            return len(pds) - 1, pds[-1], True
-        e, feasible = self.engine._pick_exit(sla_s, latencies)
-        return e, pds[e], feasible
-
-    def route_exit(self, now_s: float, sla_s: float | None,
-                   bandwidth_fallback: float, k_fallback: float,
-                   exclude: Sequence[int] = (),
-                   ) -> Tuple[int | None, int, PartitionDecision, bool]:
-        """SLA-aware routing: the joint ``(exit, point, server)`` decision.
-
-        Mirrors :meth:`route` with the exit axis on top: one fleet scan per
-        exit sub-graph, then the engine's exit rule (latest SLA-feasible
-        exit, else the globally fastest).  Near-tie rotation happens
-        *within* the chosen exit's per-server scans, and — when the exit is
-        SLA-feasible — only among servers still predicted to meet the SLA,
-        so rotation never trades a met deadline for load spreading.
-        Returns ``(server_id | None, exit_index, decision, feasible)``.
-        """
-        sup = self.supervisor
-        for sid in self._ids:
-            sup.detect_restart(sid, now_s)
-        pool = [sid for sid in self._ids if sup.routable(sid)]
-        if not pool:
-            pool = list(sup.live_servers())
-        if not pool:
-            self.last_decision = None
-            return (None,) + self._local_exit_decision(
-                sla_s, bandwidth_fallback, k_fallback)
-        preferred = [sid for sid in pool if sid not in exclude] or pool
-        admitted = [sid for sid in preferred if self._has_room(sid, now_s)]
-        if not admitted:
-            admitted = [sid for sid in pool if self._has_room(sid, now_s)]
-        if not admitted:
-            self.rejected_count += 1
-            self.last_decision = None
-            return (None,) + self._local_exit_decision(
-                sla_s, bandwidth_fallback, k_fallback)
-
-        bandwidths = [
-            sup.bandwidth_for(sid, self._bandwidth_prior(i, bandwidth_fallback))
-            for i, sid in enumerate(self._ids)]
-        ks = [sup.k_for(sid, now_s, k_fallback) for sid in self._ids]
-        fd = self.engine.decide_exit_fleet(
+        decision = self.engine.decide_exit_fleet(
             sla_s, bandwidths, ks,
             extra_latencies_s=self._extra_latencies(),
             allowed=[self._index(sid) for sid in admitted],
             profiles=self.profiles,
         )
-        chosen_fleet = fd.decision
-        self.last_decision = chosen_fleet
-        n_e = self.engine.exit_engine(fd.exit_index).num_nodes
-        if chosen_fleet.server is None:
-            best = next((d for d in chosen_fleet.decisions if d is not None),
-                        None)
-            if best is None:
-                return (None,) + self._local_exit_decision(
-                    sla_s, bandwidth_fallback, k_fallback)
-            return None, fd.exit_index, PartitionDecision(
-                point=n_e,
-                predicted_latency=chosen_fleet.predicted_latency,
-                candidates=best.candidates), fd.feasible
-        band = chosen_fleet.predicted_latency * (
-            1.0 + self.config.rebalance_tolerance)
-        if sla_s is not None and fd.feasible:
+        if decision.server is None:
+            return None, decision
+        # Rotate among near-tied servers: a strictly-better server (beyond
+        # the band) still wins outright, and a 1-server fleet has no
+        # siblings to rotate to — the degenerate identity is untouched.
+        band = decision.predicted_latency * (1.0 + self.config.rebalance_tolerance)
+        if sla_s is not None and decision.feasible:
             band = min(band, sla_s)
-        ties = [i for i, d in enumerate(chosen_fleet.decisions)
-                if d is not None and d.point < n_e
-                and d.predicted_latency <= band]
+        row = decision.exits.index(decision.exit_index)
+        local = self.engine.exit_engine(decision.exit_index).num_nodes
+        points = decision.row_points[row].tolist()
+        latencies = decision.row_latencies[row].tolist()
+        ties = [s for s, p, lat in zip(decision.servers, points, latencies)
+                if p < local and lat <= band]
         index = self._pick_tied(ties, ks)
+        if index != decision.server:
+            j = decision.servers.index(index)
+            decision = replace(decision, server=index, point=points[j],
+                               predicted_latency=latencies[j])
         sid = self._ids[index]
         if self.config.admission_limit is not None:
             self._admitted[sid].append(now_s)
         self.routed_counts[sid] += 1
-        chosen = chosen_fleet.decisions[index]
-        assert chosen is not None
-        return sid, fd.exit_index, chosen, fd.feasible
+        return sid, decision
 
 
 class _GatewayPolicy:
-    """DecisionPolicy adapter: ``decide`` asks the gateway to route.
+    """DecisionPolicy adapter: ``decide`` and ``decide_exit`` both route.
 
     Routing mutates the owning device's ``server``/``channel`` to the
     chosen sibling *before* the upload starts — the decision IS the
@@ -440,12 +338,12 @@ class _GatewayPolicy:
     def __init__(self, device: "GatewayDevice") -> None:
         self._device = device
 
-    def decide(self, bandwidth_up: float, k: float = 1.0) -> PartitionDecision:
-        return self._device._route_decide(bandwidth_up, k)
+    def decide(self, bandwidth_up: float, k: float = 1.0) -> GridDecision:
+        return self._device._route(None, bandwidth_up, k)
 
     def decide_exit(self, sla_s: float | None, bandwidth_up: float,
-                    k: float = 1.0) -> ExitDecision:
-        return self._device._route_decide_exit(sla_s, bandwidth_up, k)
+                    k: float = 1.0) -> GridDecision:
+        return self._device._route(sla_s, bandwidth_up, k)
 
 
 class GatewayDevice(UserDevice):
@@ -475,42 +373,18 @@ class GatewayDevice(UserDevice):
             self._routed_request_id = result.request_id
         return result
 
-    def _route_decide(self, bandwidth_up: float, k: float) -> PartitionDecision:
+    def _route(self, sla_s: float | None, bandwidth_up: float,
+               k: float) -> GridDecision:
         exclude: Tuple[int, ...] = ()
         if self._retrying and self._routed_server_id is not None:
             exclude = (self._routed_server_id,)
-        sid, decision = self.gateway.route(
-            self._now_s, bandwidth_up, k, exclude=exclude)
-        if sid is not None:
-            index = self.gateway._index(sid)
-            self.server = self.gateway.ports[index]
-            self.channel = self.gateway.channels[index]
-            self._routed_server_id = sid
-        return decision
-
-    def _route_decide_exit(self, sla_s: float | None, bandwidth_up: float,
-                           k: float) -> ExitDecision:
-        exclude: Tuple[int, ...] = ()
-        if self._retrying and self._routed_server_id is not None:
-            exclude = (self._routed_server_id,)
-        sid, exit_index, decision, feasible = self.gateway.route_exit(
+        sid, decision = self.gateway.route_exit(
             self._now_s, sla_s, bandwidth_up, k, exclude=exclude)
         if sid is not None:
-            index = self.gateway._index(sid)
-            self.server = self.gateway.ports[index]
-            self.channel = self.gateway.channels[index]
+            self.server = self.gateway.ports[decision.server]
+            self.channel = self.gateway.channels[decision.server]
             self._routed_server_id = sid
-        return ExitDecision(
-            exit_index=exit_index,
-            point=decision.point,
-            predicted_latency=decision.predicted_latency,
-            accuracy=self.engine.exit_accuracy(
-                exit_index if self.engine.has_exits else None),
-            sla_s=sla_s,
-            feasible=feasible,
-            decision=decision,
-            decisions=(None,) * self.engine.num_exits,
-        )
+        return decision
 
 
 class GatewayFleetSystem:

@@ -82,7 +82,7 @@ class TestDecideFleet:
         e = alexnet_engine
         d = e.decide_fleet([100e6, 100e6], [1.0, 1.0], allowed=[1])
         assert d.server in (1, None)
-        assert d.decisions[0] is None
+        assert d.servers == (1,)
         empty = e.decide_fleet([100e6, 100e6], [1.0, 1.0], allowed=[])
         assert empty.server is None
         assert empty.point == e.num_nodes
@@ -92,12 +92,12 @@ class TestDecideFleet:
     def test_decisions_are_index_aligned(self, alexnet_engine):
         e = alexnet_engine
         d = e.decide_fleet([8e6, 50e6], [2.0, 1.0])
-        assert len(d.decisions) == 2
+        assert d.servers == (0, 1)
         for i, (bw, k) in enumerate([(8e6, 2.0), (50e6, 1.0)]):
             direct = e.decide(bw, k=k)
-            assert d.decisions[i].point == direct.point
-            assert d.decisions[i].predicted_latency == direct.predicted_latency
-            np.testing.assert_array_equal(d.decisions[i].candidates,
+            assert d.row_points[0, i] == direct.point
+            assert d.row_latencies[0, i] == direct.predicted_latency
+            np.testing.assert_array_equal(d.candidates[0][i],
                                           direct.candidates)
 
     def test_validation(self, alexnet_engine):
@@ -597,8 +597,7 @@ class TestHeterogeneousRouting:
         e = alexnet_engine
         profiles = [ServerProfile(bandwidth_bps=50e6), ServerProfile()]
         d = e.decide_fleet([None, 50e6], [1.0, 1.0], profiles=profiles)
-        np.testing.assert_array_equal(
-            d.decisions[0].candidates, d.decisions[1].candidates)
+        np.testing.assert_array_equal(d.candidates[0][0], d.candidates[0][1])
         with pytest.raises(ValueError):
             e.decide_fleet([None, 50e6], [1.0, 1.0])
 

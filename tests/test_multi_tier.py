@@ -222,62 +222,3 @@ class TestExtraLatencies:
         with pytest.raises(ValueError):
             multi_tier_decision([1.0], [1.0], [1.0], [1, 0], 1e6, 1e6,
                                 extra_latency_cloud_s=-0.1)
-
-
-class TestExitRule:
-    """``multi_tier_exit_decision``: the engine's exit rule lifted to the
-    device/edge/cloud chain."""
-
-    def _workloads(self, seed, exits=3):
-        rng = np.random.default_rng(seed)
-        workloads = []
-        for e in range(exits):
-            # Later exits carry more nodes: a longer backbone prefix.
-            n = 4 + 4 * e
-            workloads.append((
-                rng.random(n).tolist(),
-                (rng.random(n) * 0.1).tolist(),
-                (rng.random(n) * 0.02).tolist(),
-                rng.integers(0, 10**6, n + 1).tolist(),
-            ))
-        return workloads
-
-    def test_sla_none_is_the_final_scan(self):
-        from repro.core.multi_tier import multi_tier_exit_decision
-
-        workloads = self._workloads(0)
-        d = multi_tier_exit_decision(workloads, None, 8e6, 50e6, k_edge=2.0)
-        direct = multi_tier_decision(*workloads[-1], 8e6, 50e6, k_edge=2.0)
-        assert d.exit_index == len(workloads) - 1
-        assert d.feasible is True
-        assert d.decision == direct
-        assert d.decisions[:-1] == (None,) * (len(workloads) - 1)
-
-    @given(seed=st.integers(0, 2**31), sla=st.floats(1e-4, 20.0),
-           b1=st.floats(1e5, 1e8), b2=st.floats(1e5, 1e9))
-    @settings(max_examples=50, deadline=None)
-    def test_rule_matches_explicit_enumeration(self, seed, sla, b1, b2):
-        from repro.core.multi_tier import multi_tier_exit_decision
-
-        workloads = self._workloads(seed)
-        d = multi_tier_exit_decision(workloads, sla, b1, b2)
-        per_exit = [multi_tier_decision(*w, b1, b2) for w in workloads]
-        assert d.decisions == tuple(per_exit)
-        feasible = [e for e, pd in enumerate(per_exit)
-                    if pd.predicted_latency <= sla]
-        if feasible:
-            assert d.feasible is True
-            assert d.exit_index == max(feasible)
-        else:
-            assert d.feasible is False
-            lat = [pd.predicted_latency for pd in per_exit]
-            assert d.exit_index == lat.index(min(lat))
-        assert d.decision == per_exit[d.exit_index]
-
-    def test_validation(self):
-        from repro.core.multi_tier import multi_tier_exit_decision
-
-        with pytest.raises(ValueError, match="empty"):
-            multi_tier_exit_decision([], 1.0, 8e6, 50e6)
-        with pytest.raises(ValueError, match="sla_s"):
-            multi_tier_exit_decision(self._workloads(1), 0.0, 8e6, 50e6)

@@ -194,8 +194,8 @@ class TestDecideExitPins:
         assert ed.feasible is True
         assert ed.point == plain.point
         assert ed.predicted_latency == plain.predicted_latency
-        assert np.array_equal(ed.decision.candidates, plain.candidates)
-        assert ed.decisions[:-1] == (None,) * (eng.num_exits - 1)
+        assert np.array_equal(ed.candidates[0][0], plain.candidates)
+        assert ed.exits == (eng.num_exits - 1,)
 
     def test_generous_sla_keeps_full_accuracy(self, squeezenet_exit_engine):
         eng = squeezenet_exit_engine
@@ -211,7 +211,7 @@ class TestDecideExitPins:
         eng = squeezenet_exit_engine
         ed = eng.decide_exit(1e-9, 8e6, k=1.0)
         assert ed.feasible is False
-        latencies = [d.predicted_latency for d in ed.decisions]
+        latencies = ed.row_latencies[:, 0].tolist()
         assert ed.predicted_latency == min(latencies)
         assert ed.exit_index == latencies.index(min(latencies))
 
@@ -230,7 +230,7 @@ class TestDecideExitPins:
         assert ed.accuracy < eng.exit_accuracy()
         # Latest feasible: every later exit misses the deadline.
         for e in range(ed.exit_index + 1, eng.num_exits):
-            assert ed.decisions[e].predicted_latency > sla
+            assert ed.row_latencies[e, 0] > sla
 
     def test_accuracy_monotone_over_sla_grid(self, squeezenet_exit_engine):
         eng = squeezenet_exit_engine

@@ -364,22 +364,40 @@ def random_exit_engine(draw):
     return LoADPartEngine(graph, user, edge, exits=branches), edge
 
 
+def _assert_same_grid(got, ref):
+    """Every field and every evaluated row of two decisions, bitwise."""
+    assert got.exit_index == ref.exit_index
+    assert got.point == ref.point
+    assert got.server == ref.server
+    assert got.predicted_latency == ref.predicted_latency  # bitwise
+    assert got.accuracy == ref.accuracy
+    assert got.sla_s == ref.sla_s
+    assert got.feasible == ref.feasible
+    assert got.exits == ref.exits
+    assert got.servers == ref.servers
+    assert np.array_equal(got.row_points, ref.row_points)
+    assert np.array_equal(got.row_latencies, ref.row_latencies)
+    assert len(got.candidates) == len(ref.candidates) == len(got.exits)
+    for cg, cr in zip(got.candidates, ref.candidates):
+        assert np.array_equal(cg, cr)
+
+
 class TestExitDifferential:
-    """``decide_exit`` vs the exhaustive ``(exit, point)`` reference.
+    """``decide_exit`` / ``decide_exit_fleet`` vs the exhaustive reference.
 
     Every random scenario draws a DAG, a random exit-branch set (possibly
-    empty), a bandwidth, a load factor and an SLA (possibly ``None``),
+    empty), bandwidths, load factors and an SLA (possibly ``None``),
     then demands *bitwise* agreement — exit index, partition point,
-    feasibility, predicted latency, accuracy, and every per-exit
-    candidate vector — between the one-pass-per-exit scan and the scalar
-    brute-force enumeration, including the no-feasible-exit fallback and
-    the ``point == n`` local edge.
+    server, feasibility, predicted latency, accuracy, and every evaluated
+    row's point, latency and candidate vector — between the decision grid
+    and the scalar brute-force enumeration, including the no-feasible-exit
+    fallback and the ``point == n`` local edge.
     """
 
     @given(data=st.data(), setup=random_exit_engine())
     @settings(max_examples=40, deadline=None)
     def test_exit_scan_matches_brute_force(self, data, setup):
-        from repro.core.engine import exit_brute_force
+        from repro.core.engine import exit_fleet_brute_force
 
         engine, _ = setup
 
@@ -390,8 +408,9 @@ class TestExitDifferential:
         offload_only = data.draw(st.booleans(), label="offload_only")
 
         got = engine.decide_exit(sla, bw, k=k, offload_only=offload_only)
-        ref = exit_brute_force(engine, sla, bw, k=k,
-                               offload_only=offload_only)
+        ref = exit_fleet_brute_force(engine, sla, [bw], [k],
+                                     extra_latencies_s=[0.0],
+                                     offload_only=offload_only)
 
         assert got.exit_index == ref.exit_index
         assert got.feasible == ref.feasible
@@ -399,14 +418,9 @@ class TestExitDifferential:
         assert got.predicted_latency == ref.predicted_latency  # bitwise
         assert got.accuracy == ref.accuracy
         assert got.sla_s == ref.sla_s
-        assert len(got.decisions) == len(ref.decisions) == engine.num_exits
-        for dg, dr in zip(got.decisions, ref.decisions):
-            if dg is None:
-                assert dr is None
-                continue
-            assert dg.point == dr.point
-            assert dg.predicted_latency == dr.predicted_latency
-            assert np.array_equal(dg.candidates, dr.candidates)
+        assert len(got.exits) == len(ref.exits)
+        assert len(got.exits) == (1 if sla is None else engine.num_exits)
+        _assert_same_grid(got, ref)
 
     @given(data=st.data(), setup=random_exit_engine())
     @settings(max_examples=25, deadline=None)
@@ -420,20 +434,38 @@ class TestExitDifferential:
         for s in range(num):
             scale = data.draw(
                 st.one_of(st.none(), st.floats(0.25, 4.0)), label=f"scale{s}")
+            prior = data.draw(
+                st.one_of(st.none(), st.floats(1e5, 1e8)), label=f"prior{s}")
             profiles.append(ServerProfile(
                 edge_predictor=(None if scale is None else ScaledPredictor(
                     edge_base, scale)),
+                bandwidth_bps=prior,
                 extra_latency_s=data.draw(st.floats(0.0, 0.05),
                                           label=f"extra{s}"),
             ))
-            bandwidths.append(data.draw(st.floats(1e5, 1e8), label=f"bw{s}"))
+            # A server with a prior may have no live estimate at all.
+            live = st.floats(1e5, 1e8)
+            if prior is not None:
+                live = st.one_of(st.none(), live)
+            bandwidths.append(data.draw(live, label=f"bw{s}"))
             ks.append(data.draw(st.floats(1.0, 50.0), label=f"k{s}"))
+        if num > 1 and data.draw(st.booleans(), label="twin"):
+            # A twin of server 0: exact ties exercise the earliest-server rule.
+            profiles[-1], bandwidths[-1], ks[-1] = profiles[0], bandwidths[0], ks[0]
         sla = data.draw(
             st.one_of(st.none(), st.floats(1e-6, 10.0)), label="sla")
+        allowed = data.draw(
+            st.one_of(st.none(),
+                      st.lists(st.integers(0, num - 1), max_size=num)),
+            label="allowed")
+        offload_only = data.draw(st.booleans(), label="offload_only")
+        bandwidth_down = data.draw(
+            st.one_of(st.none(), st.floats(1e5, 1e8)), label="bw_down")
 
-        got = engine.decide_exit_fleet(sla, bandwidths, ks, profiles=profiles)
-        ref = exit_fleet_brute_force(engine, sla, bandwidths, ks,
-                                     profiles=profiles)
+        kwargs = dict(profiles=profiles, allowed=allowed,
+                      offload_only=offload_only, bandwidth_down=bandwidth_down)
+        got = engine.decide_exit_fleet(sla, bandwidths, ks, **kwargs)
+        ref = exit_fleet_brute_force(engine, sla, bandwidths, ks, **kwargs)
 
         assert got.exit_index == ref.exit_index
         assert got.feasible == ref.feasible
@@ -441,13 +473,42 @@ class TestExitDifferential:
         assert got.server == ref.server
         assert got.predicted_latency == ref.predicted_latency  # bitwise
         assert got.accuracy == ref.accuracy
-        for fg, fr in zip(got.decisions, ref.decisions):
-            if fg is None:
-                assert fr is None
-                continue
-            assert fg.point == fr.point
-            assert fg.server == fr.server
-            assert fg.predicted_latency == fr.predicted_latency
+        if allowed == []:
+            assert got.server is None
+            assert got.point == engine.exit_engine(got.exit_index).num_nodes
+        _assert_same_grid(got, ref)
+
+    @given(data=st.data(), setup=random_exit_engine())
+    @settings(max_examples=25, deadline=None)
+    def test_decide_exit_is_the_one_server_grid(self, data, setup):
+        """``decide_exit`` equals ``decide_exit_fleet`` on a one-server
+        fleet, field for field."""
+        from repro.core.engine import ServerProfile
+        from repro.profiling.predictor import ScaledPredictor
+
+        engine, edge_base = setup
+        bw = data.draw(st.floats(1e5, 1e8), label="bw")
+        k = data.draw(st.floats(1.0, 50.0), label="k")
+        extra = data.draw(st.floats(0.0, 0.05), label="extra")
+        scale = data.draw(st.one_of(st.none(), st.floats(0.25, 4.0)),
+                          label="scale")
+        profile = data.draw(st.sampled_from([
+            None, ServerProfile(edge_predictor=(
+                None if scale is None else ScaledPredictor(edge_base, scale)))]),
+            label="profile")
+        sla = data.draw(
+            st.one_of(st.none(), st.floats(1e-6, 10.0)), label="sla")
+        offload_only = data.draw(st.booleans(), label="offload_only")
+        bandwidth_down = data.draw(
+            st.one_of(st.none(), st.floats(1e5, 1e8)), label="bw_down")
+
+        got = engine.decide_exit(
+            sla, bw, k, extra_latency_s=extra, profile=profile,
+            offload_only=offload_only, bandwidth_down=bandwidth_down)
+        ref = engine.decide_exit_fleet(
+            sla, [bw], [k], extra_latencies_s=[extra], profiles=[profile],
+            offload_only=offload_only, bandwidth_down=bandwidth_down)
+        _assert_same_grid(got, ref)
 
     @given(data=st.data(), setup=random_exit_engine())
     @settings(max_examples=30, deadline=None)
@@ -481,12 +542,12 @@ class TestExitDifferential:
         assert ed.feasible is True
         assert ed.point == plain.point
         assert ed.predicted_latency == plain.predicted_latency
-        assert np.array_equal(ed.decision.candidates, plain.candidates)
-        assert all(d is None for d in ed.decisions[:-1])
+        assert np.array_equal(ed.candidates[0][0], plain.candidates)
+        assert ed.exits == (engine.num_exits - 1,)
 
 
 class TestFleetDifferential:
-    """``decide_fleet`` vs the exhaustive heterogeneous reference.
+    """``decide_fleet`` vs the exhaustive reference, without an SLA.
 
     Every random scenario draws per-server profiles (predictor scale,
     bandwidth prior, link position), load factors and live bandwidth
@@ -502,7 +563,10 @@ class TestFleetDifferential:
     @settings(max_examples=40, deadline=None)
     def test_heterogeneous_scan_matches_brute_force(self, data, graph):
         from repro.core.engine import (
-            LoADPartEngine, ServerProfile, fleet_brute_force, fleet_objective,
+            LoADPartEngine,
+            ServerProfile,
+            exit_fleet_brute_force,
+            fleet_objective,
         )
         from repro.profiling.predictor import ScaledPredictor
 
@@ -542,29 +606,25 @@ class TestFleetDifferential:
         got = engine.decide_fleet(
             bandwidths, ks, allowed=allowed, offload_only=offload_only,
             profiles=profiles)
-        ref = fleet_brute_force(
-            engine, bandwidths, ks, allowed=allowed,
+        ref = exit_fleet_brute_force(
+            engine, None, bandwidths, ks, allowed=allowed,
             offload_only=offload_only, profiles=profiles)
 
         assert got.point == ref.point
         assert got.server == ref.server
         assert got.predicted_latency == ref.predicted_latency  # bitwise
-        for s, (dg, dr) in enumerate(zip(got.decisions, ref.decisions)):
-            if dg is None:
-                assert dr is None
-                continue
-            assert dg.point == dr.point
-            assert dg.predicted_latency == dr.predicted_latency
-            assert np.array_equal(dg.candidates, dr.candidates)
+        _assert_same_grid(got, ref)
+        for j, s in enumerate(got.servers):
+            row = got.candidates[0][j]
             # Independent restatement of Problem (1) at spot-check points.
             bw_s = (bandwidths[s] if bandwidths[s] is not None
                     else profiles[s].bandwidth_bps)
-            for p in {0, n // 2, n, dg.point}:
+            for p in {0, n // 2, n, int(got.row_points[0, j])}:
                 direct = fleet_objective(
                     engine, p, bw_s, k=ks[s],
                     extra_latency_s=profiles[s].extra_latency_s,
                     profile=profiles[s])
-                assert direct == pytest.approx(float(dg.candidates[p]),
+                assert direct == pytest.approx(float(row[p]),
                                                rel=1e-9, abs=1e-12)
 
     @given(data=st.data(), graph=random_dag())
@@ -594,5 +654,4 @@ class TestFleetDifferential:
             assert dressed.point == plain.point
             assert dressed.server == plain.server
             assert dressed.predicted_latency == plain.predicted_latency
-            for dp, dd in zip(plain.decisions, dressed.decisions):
-                assert np.array_equal(dp.candidates, dd.candidates)
+            assert np.array_equal(plain.candidates[0], dressed.candidates[0])
