@@ -9,8 +9,18 @@ Reproduces the online system of Fig. 3 as a discrete-event simulation:
 - :class:`~repro.runtime.server.EdgeServer` — executes tail segments on the
   contended GPU, maintains the influential factor ``k`` and the
   GPU-utilisation watchdog.
-- :class:`~repro.runtime.system.OffloadingSystem` — wires both ends to a
-  channel and a load schedule and produces per-request timelines.
+- :class:`~repro.runtime.driver.Driver` — the one event-driven run loop:
+  request events, profiler/watchdog/supervisor ticks, immediate or
+  batched execution.
+- The three systems it runs, each wiring servers, channels and clients
+  and returning per-request timelines:
+
+  - :class:`~repro.runtime.system.OffloadingSystem` — one device, one
+    server, one link, under a load schedule;
+  - :class:`~repro.runtime.multi.MultiClientSystem` — N devices sharing
+    one server whose load is their own traffic (optionally batched);
+  - :class:`~repro.runtime.gateway.GatewayFleetSystem` — N devices
+    routed across M servers by a gateway with a health supervisor.
 
 The emulation replaces the paper's physical Pi-to-server WiFi deployment;
 all latencies come from :mod:`repro.hardware` and :mod:`repro.network`,

@@ -42,19 +42,24 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Deque, Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.engine import GridDecision, LoADPartEngine, ServerProfile
 from repro.network.channel import Channel, NetworkParams
-from repro.network.faults import FaultyChannel, ServerFaultPlan
+from repro.network.faults import ServerFaultPlan
 from repro.network.traces import BandwidthTrace, ConstantTrace
 from repro.runtime.client import UserDevice
+from repro.runtime.driver import Driver
 from repro.runtime.events import EventLoop
 from repro.runtime.messages import BusyReply, InferenceRecord
 from repro.runtime.multi import FleetResult, SharedEdgeServer, SharedLoadTracker
 from repro.runtime.server import EdgeServer
 from repro.runtime.supervisor import FleetSupervisor, SupervisorConfig
-from repro.runtime.system import SystemConfig, Timeline
+from repro.runtime.system import (
+    SystemConfig,
+    Timeline,
+    build_channel,
+    build_client,
+    build_server,
+)
 
 
 @dataclass(frozen=True)
@@ -390,11 +395,12 @@ class GatewayDevice(UserDevice):
 class GatewayFleetSystem:
     """N clients × M servers behind one gateway, on one event loop.
 
-    The sequential driver mirrors
-    :class:`~repro.runtime.multi.MultiClientSystem` exactly — same client
-    seeds, same profiler stagger, same global-time-order request loop —
-    so a 1-server fleet with probing disabled produces records
-    byte-identical to the direct path.  Each server gets its own
+    The :class:`~repro.runtime.driver.Driver` runs it exactly as it runs
+    :class:`~repro.runtime.multi.MultiClientSystem` — same client seeds,
+    same profiler stagger, same request events — plus one watchdog per
+    server and the supervisor's probe tick, so a 1-server fleet with
+    probing disabled produces records byte-identical to the direct path.
+    Each server gets its own
     :class:`~repro.runtime.multi.SharedLoadTracker` (contention is
     per-GPU), its own channel (per-link fault streams via
     :meth:`~repro.network.faults.FaultPlan.for_server`), and a
@@ -437,80 +443,47 @@ class GatewayFleetSystem:
             raise ValueError("gpu_models must name one entry per server")
         if bandwidth_traces is not None and len(bandwidth_traces) != num_servers:
             raise ValueError("bandwidth_traces must name one entry per server")
+        if self.config.policy != "loadpart":
+            raise ValueError("the fleet gateway requires policy='loadpart' "
+                             "(the joint (point, server) scan)")
         self.engine = engine
         self.num_servers = num_servers
-
         trace = bandwidth_trace or ConstantTrace(8e6)
-        servers: List[SharedEdgeServer] = []
-        channels: List[Channel] = []
-        self.trackers: List[SharedLoadTracker] = []
-        for s in range(num_servers):
-            tracker = SharedLoadTracker(window_s=tracker_window_s)
-            self.trackers.append(tracker)
-            fault_plan = None
+        self.trackers = [SharedLoadTracker(window_s=tracker_window_s)
+                         for _ in range(num_servers)]
+        self.servers: List[SharedEdgeServer] = []
+        self.channels: List[Channel] = []
+        for s, tracker in enumerate(self.trackers):
             if server_faults is not None:
                 fault_plan = server_faults[s]
-            elif self.config.server_faults is not None and s == 0:
+            else:
                 # A single plan in the SystemConfig lands on server 0 (the
                 # direct path's only server); siblings stay healthy.
-                fault_plan = self.config.server_faults
-            servers.append(SharedEdgeServer(
-                engine,
-                tracker,
-                monitor_window_s=self.config.monitor_window_s,
-                watchdog_threshold=self.config.watchdog_threshold,
-                watchdog_period_s=self.config.watchdog_period_s,
-                # Server 0 matches the direct path's seed; siblings get
-                # widely-separated streams.
-                seed=self.config.seed + 100 + 1000 * s,
-                backend=self.config.backend,
-                functional=self.config.functional,
-                model_seed=self.config.seed,
+                fault_plan = self.config.server_faults if s == 0 else None
+            self.servers.append(build_server(
+                SharedEdgeServer, engine, self.config, s,
+                tracker=tracker,
                 fault_plan=fault_plan,
-                parallelism=self.config.parallelism,
-                server_id=s,
                 # Heterogeneous truth and belief: the GPU model is what
                 # the simulated silicon *does*; the profile is what the
                 # router (and the server's own k monitor) *believes*.
                 gpu_model=(gpu_models[s] if gpu_models is not None else None),
                 profile=(profiles[s] if profiles is not None else None),
             ))
-            server_trace = (bandwidth_traces[s] if bandwidth_traces is not None
-                            else trace)
-            params = (network_params[s] if network_params is not None
-                      else NetworkParams())
-            if self.config.faults is not None:
-                channels.append(FaultyChannel(
-                    server_trace, self.config.faults.for_server(s), params))
-            else:
-                channels.append(Channel(server_trace, params))
-        self.servers = servers
-        self.channels = channels
+            self.channels.append(build_channel(
+                bandwidth_traces[s] if bandwidth_traces is not None else trace,
+                self.config,
+                network_params[s] if network_params is not None else None, s))
         self.gateway = EdgeGateway(
-            engine, servers, channels,
+            engine, self.servers, self.channels,
             config=gateway_config,
             supervisor_seed=self.config.seed + 300,
             profiles=profiles,
         )
         self.policy = self.config.policy
-        if self.config.policy != "loadpart":
-            raise ValueError("the fleet gateway requires policy='loadpart' "
-                             "(the joint (point, server) scan)")
-        self.clients: List[GatewayDevice] = []
-        sla_classes = self.config.sla_classes
-        for i in range(num_clients):
-            self.clients.append(GatewayDevice(
-                engine,
-                self.gateway,
-                seed=self.config.seed + 200 + i,
-                backend=self.config.backend,
-                functional=self.config.functional,
-                model_seed=self.config.seed,
-                resilience=self.config.resilience,
-                parallelism=self.config.parallelism,
-                sla_s=(sla_classes[i % len(sla_classes)]
-                       if sla_classes else None),
-            ))
+        self.clients: List[GatewayDevice] = [
+            build_client(GatewayDevice, engine, self.config, i, self.gateway)
+            for i in range(num_clients)]
         self.loop = EventLoop()
 
     @property
@@ -519,41 +492,11 @@ class GatewayFleetSystem:
 
     def run(self, duration_s: float) -> FleetResult:
         """Simulate all clients issuing requests back-to-back."""
-        loop = self.loop
-        records: List[List[InferenceRecord]] = [[] for _ in self.clients]
-
-        for i, client in enumerate(self.clients):
-            client.profiler_tick(0.0)
-            # Stagger profiler periods so clients don't probe in lockstep
-            # (identical to MultiClientSystem).
-            offset = (i + 1) * self.config.profiler_period_s / (len(self.clients) + 1)
-            loop.schedule_every(
-                self.config.profiler_period_s,
-                lambda c=client: c.profiler_tick(loop.now),
-                start_s=offset,
-            )
-        for server in self.servers:
-            loop.schedule_every(
-                self.config.watchdog_period_s,
-                lambda s=server: s.watchdog_tick(loop.now))
-        if self.gateway.probing_enabled:
-            probe_period = self.supervisor.config.probe_period_s
-            self.supervisor.tick(0.0)
-            loop.schedule_every(probe_period,
-                                lambda: self.supervisor.tick(loop.now))
-
-        next_at = [i * 0.003 for i in range(len(self.clients))]
-        while True:
-            idx = int(np.argmin(next_at))
-            t = next_at[idx]
-            if t >= duration_s:
-                break
-            loop.run_until(t)
-            record = self.clients[idx].request_inference(t)
-            records[idx].append(record)
-            next_at[idx] = t + record.total_s + self.config.think_time_s
         return FleetResult(
-            timelines=tuple(Timeline(r) for r in records),
+            timelines=tuple(map(Timeline, Driver(
+                self.loop, self.config, self.clients, self.servers,
+                supervisor=(self.supervisor if self.gateway.probing_enabled
+                            else None)).run(duration_s))),
             policy=self.policy,
             num_servers=self.num_servers,
         )

@@ -22,22 +22,28 @@ recovers.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Deque, List, Tuple
 
 import numpy as np
 
 from repro.core.engine import LoADPartEngine
 from repro.hardware.background import LoadLevel
-from repro.network.channel import Channel, NetworkParams
-from repro.network.faults import FaultyChannel
 from repro.network.traces import BandwidthTrace, ConstantTrace
-from repro.runtime.batching import DynamicBatcher, PendingRequest
-from repro.runtime.client import PendingOffload, UserDevice
+from repro.runtime.client import UserDevice
+from repro.runtime.driver import Driver
 from repro.runtime.events import EventLoop
 from repro.runtime.messages import InferenceRecord, OffloadReply
 from repro.runtime.server import EdgeServer
-from repro.runtime.system import OffloadingSystem, SystemConfig, Timeline
+from repro.runtime.system import (
+    SystemConfig,
+    Timeline,
+    build_channel,
+    build_client,
+    build_server,
+    make_policy,
+    percentile,
+)
 
 
 class SharedLoadTracker:
@@ -173,8 +179,7 @@ class ServerStats:
             availability=(len(completed) / len(records) if records
                           else float("nan")),
             mean_latency=float(lat.mean()) if lat.size else float("nan"),
-            p95_latency=(float(np.percentile(lat, 95)) if lat.size
-                         else float("nan")),
+            p95_latency=percentile(lat, 95),
             rejected=sum(1 for r in records if r.status == "rejected"),
             failed=sum(1 for r in records if r.status == "failed"),
             fallbacks=sum(1 for r in records if r.status == "fallback_local"),
@@ -203,10 +208,7 @@ class FleetResult:
 
     @property
     def p95_latency(self) -> float:
-        lat = self._latencies()
-        if lat.size == 0:
-            return float("nan")
-        return float(np.percentile(lat, 95))
+        return percentile(self._latencies(), 95)
 
     @property
     def local_fraction(self) -> float:
@@ -292,260 +294,23 @@ class MultiClientSystem:
         self.config = config or SystemConfig()
         self.engine = engine
         self.tracker = SharedLoadTracker(window_s=tracker_window_s)
-        self.server = SharedEdgeServer(
-            engine,
-            self.tracker,
-            monitor_window_s=self.config.monitor_window_s,
-            watchdog_threshold=self.config.watchdog_threshold,
-            watchdog_period_s=self.config.watchdog_period_s,
-            seed=self.config.seed + 100,
-            backend=self.config.backend,
-            functional=self.config.functional,
-            model_seed=self.config.seed,
-            fault_plan=self.config.server_faults,
-            parallelism=self.config.parallelism,
-        )
-        trace = bandwidth_trace or ConstantTrace(8e6)
-        if self.config.faults is not None:
-            self.channel = FaultyChannel(trace, self.config.faults, NetworkParams())
-        else:
-            self.channel = Channel(trace, NetworkParams())
+        self.server = build_server(SharedEdgeServer, engine, self.config,
+                                   tracker=self.tracker,
+                                   fault_plan=self.config.server_faults)
+        self.channel = build_channel(bandwidth_trace or ConstantTrace(8e6),
+                                     self.config)
         self.policy = self.config.policy
-        self.clients: List[UserDevice] = []
-        sla_classes = self.config.sla_classes
-        for i in range(num_clients):
-            client_policy = OffloadingSystem._make_policy(self.config.policy, engine)
-            self.clients.append(
-                UserDevice(
-                    engine,
-                    self.server,
-                    self.channel,
-                    policy=client_policy,
-                    seed=self.config.seed + 200 + i,
-                    backend=self.config.backend,
-                    functional=self.config.functional,
-                    model_seed=self.config.seed,
-                    resilience=self.config.resilience,
-                    parallelism=self.config.parallelism,
-                    streaming=self.config.streaming,
-                    sla_s=(sla_classes[i % len(sla_classes)]
-                           if sla_classes else None),
-                )
-            )
+        self.clients: List[UserDevice] = [
+            build_client(UserDevice, engine, self.config, i, self.server,
+                         self.channel, policy=make_policy(self.policy, engine))
+            for i in range(num_clients)]
         self.loop = EventLoop()
 
     def run(self, duration_s: float) -> FleetResult:
-        """Simulate all clients issuing requests back-to-back."""
-        if self.config.batching is not None:
-            return self._run_batched(duration_s)
-        loop = self.loop
-        records: List[List[InferenceRecord]] = [[] for _ in self.clients]
-
-        for i, client in enumerate(self.clients):
-            client.profiler_tick(0.0)
-            # Stagger profiler periods so clients don't probe in lockstep.
-            offset = (i + 1) * self.config.profiler_period_s / (len(self.clients) + 1)
-            loop.schedule_every(
-                self.config.profiler_period_s,
-                lambda c=client: c.profiler_tick(loop.now),
-                start_s=offset,
-            )
-        loop.schedule_every(self.config.watchdog_period_s,
-                            lambda: self.server.watchdog_tick(loop.now))
-
-        # Per-client next-request times; process in global time order so the
-        # shared tracker sees interleaved arrivals.
-        next_at = [i * 0.003 for i in range(len(self.clients))]
-        while True:
-            idx = int(np.argmin(next_at))
-            t = next_at[idx]
-            if t >= duration_s:
-                break
-            loop.run_until(t)
-            record = self.clients[idx].request_inference(t)
-            records[idx].append(record)
-            next_at[idx] = t + record.total_s + self.config.think_time_s
+        """Simulate all clients issuing requests back-to-back (through the
+        server's batch queues under ``SystemConfig(batching=...)``)."""
         return FleetResult(
-            timelines=tuple(Timeline(r) for r in records),
-            policy=self.policy,
-        )
-
-    def _run_batched(self, duration_s: float) -> FleetResult:
-        """Event-driven fleet run with dynamic batching at the server.
-
-        Requests split into an asynchronous begin (decide + head + upload)
-        and complete (reply + download) pair: the upload's arrival enqueues
-        the request at its partition point, and the queue flushes when the
-        batching window expires or ``max_batch`` requests have gathered.
-        All requests of a flush share one batched tail execution and finish
-        together; queueing delay lands in each record's ``server_s``, so a
-        client's next request is scheduled exactly as in the sequential
-        driver — ``start + total + think``.  Under
-        ``SystemConfig(parallelism=...)`` that shared execution schedules
-        per-sample slices concurrently (2-D sample × chain), which changes
-        wall-clock cost only — records and outputs are bit-identical.
-        """
-        cfg = self.config.batching
-        loop = self.loop
-        batcher = DynamicBatcher(cfg)
-        records: List[List[InferenceRecord]] = [[] for _ in self.clients]
-        in_flight = [0]
-
-        for i, client in enumerate(self.clients):
-            client.profiler_tick(0.0)
-            offset = (i + 1) * self.config.profiler_period_s / (len(self.clients) + 1)
-            loop.schedule_every(
-                self.config.profiler_period_s,
-                lambda c=client: c.profiler_tick(loop.now),
-                start_s=offset,
-            )
-        loop.schedule_every(self.config.watchdog_period_s,
-                            lambda: self.server.watchdog_tick(loop.now))
-
-        def finish(idx: int, record: InferenceRecord) -> None:
-            records[idx].append(record)
-            next_t = record.start_s + record.total_s + self.config.think_time_s
-            # A failed (infinite) record never schedules again: the naive
-            # client is stalled, exactly as a blocking RPC would leave it.
-            if next_t < duration_s:
-                loop.schedule_at(max(next_t, loop.now), lambda: issue(idx))
-
-        def fail_offload(idx: int, pending: PendingOffload,
-                         status: str = "fallback_local") -> None:
-            """Resolve a doomed offload: local fallback or a stalled record.
-
-            Batched mode fails fast — no retries through the queue; a
-            resilient client falls back to local inference at the moment
-            its deadline fires (or immediately for a rejection).
-            """
-            in_flight[0] -= 1
-            client = self.clients[idx]
-            if client.resilience is None:
-                finish(idx, client._failed_record(
-                    pending.request_id, pending.start_s, pending.partition_point,
-                    pending.estimated_bandwidth_bps, pending.k_used,
-                    device_s=pending.device_s, upload_s=pending.upload_s,
-                    overhead_s=pending.overhead_s,
-                    device_cache_hit=pending.device_cache_hit,
-                    exit_index=pending.exit_index,
-                ))
-                return
-            resolve_s = loop.now if status == "rejected" else max(
-                pending.deadline_s, loop.now)
-            assert client.breaker is not None
-            client.breaker.record_failure(resolve_s)
-
-            def resolve() -> None:
-                finish(idx, client.fallback_record(
-                    pending.request_id, pending.start_s, loop.now,
-                    timeout_s=pending.timeout_s, status=status,
-                ))
-
-            loop.schedule_at(resolve_s, resolve)
-
-        def issue(idx: int) -> None:
-            client = self.clients[idx]
-            if client.breaker is not None and not client.breaker.allow_offload(loop.now):
-                record = client.begin_inference(loop.now, force_local=True)
-                assert isinstance(record, InferenceRecord)
-                finish(idx, replace(record, status="fallback_local"))
-                return
-            pending = client.begin_inference(loop.now)
-            if isinstance(pending, InferenceRecord):
-                finish(idx, pending)
-                return
-            in_flight[0] += 1
-            if not pending.delivered:
-                # The upload never made it; the device notices at its
-                # deadline and falls back.
-                fail_offload(idx, pending)
-                return
-            loop.schedule_at(pending.arrive_s,
-                             lambda: arrive(idx, pending))
-
-        def arrive(idx: int, pending) -> None:
-            # Requests co-batch only within one (exit, point) cell: tails of
-            # different exit graphs (or cut depths) cannot share a batched
-            # execution.  Exit-free requests key as exit -1, so mixed
-            # traffic keeps every queue key mutually sortable.
-            key = (-1 if pending.exit_index is None else pending.exit_index,
-                   pending.partition_point)
-            if not self.server.available_at(loop.now):
-                fail_offload(idx, pending)
-                return
-            sf = self.server.fault_plan
-            if (sf is not None and sf.queue_limit is not None
-                    and batcher.queue_depth(key) >= sf.queue_limit):
-                # Admission control sheds the request before it queues.
-                self.server.rejected_count += 1
-                fail_offload(idx, pending, status="rejected")
-                return
-            request = PendingRequest(
-                request_id=pending.request_id,
-                enqueue_s=loop.now,
-                tensors=pending.transfers,
-                context=(idx, pending),
-            )
-            flush_now, epoch = batcher.enqueue(key, request)
-            if flush_now:
-                flush(key)
-            elif batcher.queue_depth(key) == 1:
-                # This request opened the queue: arm its window timer.
-                loop.schedule_at(loop.now + cfg.window_s,
-                                 lambda: flush(key, epoch))
-
-        def flush(key: Tuple[int, int], epoch: int | None = None) -> None:
-            exit_key, point = key
-            batch = batcher.take(key, epoch)
-            if not batch:
-                return
-            replies = self.server.handle_offload_batch(
-                loop.now, batch, point, cfg,
-                exit_index=None if exit_key < 0 else exit_key,
-            )
-            if replies is None:
-                # The server crashed between arrival and flush: the whole
-                # batch dies; each client resolves at its own deadline.
-                for request in batch:
-                    idx, pending = request.context
-                    fail_offload(idx, pending)
-                return
-            # All requests leave the GPU together, one batch execution later.
-            done_s = loop.now + replies[0].server_exec_s - replies[0].queue_s
-            for request, reply in zip(batch, replies):
-                idx, pending = request.context
-                client = self.clients[idx]
-                if done_s > pending.deadline_s:
-                    # Queueing + execution overshot this request's deadline:
-                    # the device already gave up waiting.
-                    fail_offload(idx, pending)
-                    continue
-                budget = None
-                if client.resilience is not None:
-                    budget = pending.deadline_s - done_s
-                record = client.complete_inference(
-                    pending, reply, download_at_s=done_s,
-                    download_timeout_s=budget,
-                )
-                if record.status == "failed" and client.resilience is not None:
-                    fail_offload(idx, pending)
-                    continue
-                if client.breaker is not None and record.status != "failed":
-                    client.breaker.record_success(done_s)
-                in_flight[0] -= 1
-                finish(idx, record)
-
-        for i in range(len(self.clients)):
-            start = i * 0.003
-            if start < duration_s:
-                loop.schedule_at(start, lambda i=i: issue(i))
-
-        loop.run_until(duration_s)
-        # Drain in-flight requests (arrivals and window flushes may land
-        # shortly after the horizon); no request is ever dropped.
-        while in_flight[0] > 0:
-            loop.run_until(loop.now + max(cfg.window_s, 1e-3))
-        return FleetResult(
-            timelines=tuple(Timeline(r) for r in records),
+            timelines=tuple(map(Timeline, Driver(
+                self.loop, self.config, self.clients, [self.server]).run(duration_s))),
             policy=self.policy,
         )

@@ -1,10 +1,11 @@
 """``OffloadingSystem``: wires device, server, channel and load schedule.
 
-Drives the event loop: periodic profiler ticks on the device (default 5 s,
-§V-A), the periodic GPU watchdog on the server (default 10 s), and a
-request generator that issues inferences back-to-back (plus an optional
+The :class:`~repro.runtime.driver.Driver` runs it: periodic profiler
+ticks on the device (default 5 s, §V-A), the periodic GPU watchdog on the
+server (default 10 s), and requests issued back-to-back (plus an optional
 think time).  Produces a :class:`Timeline` of per-request records — the raw
-material of the Fig. 6/7/8/9 experiments.
+material of the Fig. 6/7/8/9 experiments.  The ``build_*`` helpers wire
+the servers, links and clients of every system, fleets included.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from repro.network.traces import BandwidthTrace, ConstantTrace
 from repro.network.streaming import StreamingConfig
 from repro.nn.executor import BACKENDS
 from repro.nn.parallel import ParallelConfig
-from repro.profiling.predictor import LatencyPredictor
 from repro.runtime.batching import BatchingConfig
 from repro.runtime.client import UserDevice
+from repro.runtime.driver import Driver
 from repro.runtime.events import EventLoop
 from repro.runtime.messages import InferenceRecord
 from repro.runtime.resilience import ResilienceConfig
@@ -123,6 +124,27 @@ class SystemConfig:
                     "(the streamed joint decision has no exit axis)")
 
 
+def percentile(values, q: float) -> float:
+    """``np.percentile`` of latencies that may hold stalled requests (inf).
+
+    Linear interpolation next to an infinite latency computes ``inf - inf``
+    or ``0 * inf``, which is NaN.  Here a rank that lands exactly on a
+    value returns that value and interpolating toward an infinite
+    neighbour returns ``inf``; finite input gives exactly ``np.percentile``.
+    Empty input is NaN.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        return float("nan")
+    with np.errstate(invalid="ignore"):
+        value = float(np.percentile(values, q))
+    if math.isnan(value):
+        lower = np.percentile(values, q, method="lower")
+        higher = np.percentile(values, q, method="higher")
+        value = float(lower) if lower == higher else math.inf
+    return value
+
+
 class Timeline:
     """The per-request records of one run, with summary helpers."""
 
@@ -153,9 +175,7 @@ class Timeline:
         return float(self.latencies.mean())
 
     def percentile_latency(self, q: float) -> float:
-        if not self.records:
-            return float("nan")
-        return float(np.percentile(self.latencies, q))
+        return percentile(self.latencies, q)
 
     def between(self, start_s: float, end_s: float) -> "Timeline":
         return Timeline([r for r in self.records if start_s <= r.start_s < end_s])
@@ -208,6 +228,66 @@ class Timeline:
         return counts
 
 
+def make_policy(name: str, engine: LoADPartEngine):
+    """The decision policy a client runs under ``SystemConfig.policy``."""
+    if name == "loadpart":
+        return engine
+    if name == "neurosurgeon":
+        return NeurosurgeonStrategy(engine)
+    if name == "local":
+        return LocalStrategy(engine)
+    return FullOffloadStrategy(engine)
+
+
+def build_server(cls, engine: LoADPartEngine, config: SystemConfig,
+                 index: int = 0, **kwargs) -> EdgeServer:
+    """Server ``index`` of a system, seeded ``seed + 100 + 1000 * index``
+    (server 0 of a fleet draws what the lone server of a direct system
+    draws; siblings get widely-separated streams)."""
+    return cls(
+        engine,
+        monitor_window_s=config.monitor_window_s,
+        watchdog_threshold=config.watchdog_threshold,
+        watchdog_period_s=config.watchdog_period_s,
+        seed=config.seed + 100 + 1000 * index,
+        backend=config.backend,
+        functional=config.functional,
+        model_seed=config.seed,
+        parallelism=config.parallelism,
+        server_id=index,
+        **kwargs,
+    )
+
+
+def build_channel(trace: BandwidthTrace, config: SystemConfig,
+                  params: NetworkParams | None = None, index: int = 0) -> Channel:
+    """The link to server ``index``; injected faults draw from that
+    server's own stream (server 0 gets the plan verbatim)."""
+    if config.faults is None:
+        return Channel(trace, params)
+    return FaultyChannel(trace, config.faults.for_server(index), params)
+
+
+def build_client(cls, engine: LoADPartEngine, config: SystemConfig,
+                 index: int, *args, **kwargs) -> UserDevice:
+    """Client ``index`` of a system, seeded ``seed + 200 + index``, with
+    the SLA classes assigned round-robin by client index."""
+    sla_classes = config.sla_classes
+    return cls(
+        engine,
+        *args,
+        seed=config.seed + 200 + index,
+        backend=config.backend,
+        functional=config.functional,
+        model_seed=config.seed,
+        resilience=config.resilience,
+        parallelism=config.parallelism,
+        streaming=config.streaming,
+        sla_s=sla_classes[index % len(sla_classes)] if sla_classes else None,
+        **kwargs,
+    )
+
+
 class OffloadingSystem:
     """One device + one server + one link, runnable as a simulation."""
 
@@ -225,62 +305,17 @@ class OffloadingSystem:
                 "dynamic batching needs concurrent clients; use MultiClientSystem"
             )
         self.engine = engine
-        trace = bandwidth_trace or ConstantTrace(8e6)
-        if self.config.faults is not None:
-            self.channel = FaultyChannel(trace, self.config.faults, network_params)
-        else:
-            self.channel = Channel(trace, network_params)
-        self.server = EdgeServer(
-            engine,
+        self.channel = build_channel(bandwidth_trace or ConstantTrace(8e6),
+                                     self.config, network_params)
+        self.server = build_server(
+            EdgeServer, engine, self.config,
             load_schedule=load_schedule or LoadSchedule([(0.0, IDLE)]),
-            monitor_window_s=self.config.monitor_window_s,
-            watchdog_threshold=self.config.watchdog_threshold,
-            watchdog_period_s=self.config.watchdog_period_s,
-            seed=self.config.seed + 100,
-            backend=self.config.backend,
-            functional=self.config.functional,
-            model_seed=self.config.seed,
             fault_plan=self.config.server_faults,
-            parallelism=self.config.parallelism,
         )
-        policy = self._make_policy(self.config.policy, engine)
-        self.device = UserDevice(
-            engine,
-            self.server,
-            self.channel,
-            policy=policy,
-            seed=self.config.seed + 200,
-            backend=self.config.backend,
-            functional=self.config.functional,
-            model_seed=self.config.seed,
-            resilience=self.config.resilience,
-            parallelism=self.config.parallelism,
-            streaming=self.config.streaming,
-            sla_s=(self.config.sla_classes[0]
-                   if self.config.sla_classes else None),
-        )
+        self.device = build_client(
+            UserDevice, engine, self.config, 0, self.server, self.channel,
+            policy=make_policy(self.config.policy, engine))
         self.loop = EventLoop()
-
-    @staticmethod
-    def _make_policy(name: str, engine: LoADPartEngine):
-        if name == "loadpart":
-            return engine
-        if name == "neurosurgeon":
-            return NeurosurgeonStrategy(engine)
-        if name == "local":
-            return LocalStrategy(engine)
-        return FullOffloadStrategy(engine)
-
-    @classmethod
-    def build(
-        cls,
-        graph,
-        user_predictor: LatencyPredictor,
-        edge_predictor: LatencyPredictor,
-        **kwargs,
-    ) -> "OffloadingSystem":
-        """Convenience constructor from a graph and trained predictors."""
-        return cls(LoADPartEngine(graph, user_predictor, edge_predictor), **kwargs)
 
     def run(
         self,
@@ -289,24 +324,5 @@ class OffloadingSystem:
         on_record: Callable[[InferenceRecord], None] | None = None,
     ) -> Timeline:
         """Simulate ``duration_s`` seconds of operation."""
-        loop = self.loop
-        records: List[InferenceRecord] = []
-
-        # Warm up the profiler state once at t=0 (models load + first probe,
-        # Fig. 3's "load models" step), then run periodically.
-        self.device.profiler_tick(loop.now)
-        loop.schedule_every(self.config.profiler_period_s, lambda: self.device.profiler_tick(loop.now))
-        loop.schedule_every(self.config.watchdog_period_s, lambda: self.server.watchdog_tick(loop.now))
-
-        next_request_s = 0.0
-        while next_request_s < duration_s:
-            if max_requests is not None and len(records) >= max_requests:
-                break
-            loop.run_until(next_request_s)
-            record = self.device.request_inference(loop.now)
-            records.append(record)
-            if on_record is not None:
-                on_record(record)
-            next_request_s = loop.now + record.total_s + self.config.think_time_s
-        loop.run_until(min(next_request_s, duration_s))
-        return Timeline(records)
+        return Timeline(Driver(self.loop, self.config, [self.device], [self.server],
+                               stagger=False).run(duration_s, max_requests, on_record)[0])

@@ -208,6 +208,48 @@ class TestServerBreakdown:
         assert result.local_requests == 1
 
 
+class TestFleetPercentiles:
+    def test_p95_with_stalled_requests_is_inf(self):
+        from repro.runtime.multi import FleetResult
+        from repro.runtime.system import Timeline
+
+        result = FleetResult(
+            timelines=(Timeline([_record(total=0.1), _record(total=0.2)]),
+                       Timeline([_record(total=float("inf"))])),
+            policy="loadpart")
+        # np.percentile interpolates inf - inf = nan between the stalls.
+        assert result.p95_latency == float("inf")
+
+    def test_finite_p95_is_numpy_exactly(self):
+        import numpy as np
+
+        from repro.runtime.multi import FleetResult
+        from repro.runtime.system import Timeline
+
+        totals = [0.13, 0.4, 0.21, 0.9, 0.05]
+        result = FleetResult(
+            timelines=(Timeline([_record(total=t) for t in totals]),),
+            policy="loadpart")
+        assert result.p95_latency == float(np.percentile(totals, 95))
+
+    def test_link_fault_fleet_reads_no_nan(self, alexnet_engine):
+        import math
+
+        from repro.network.faults import FaultPlan
+
+        config = SystemConfig(
+            faults=FaultPlan(seed=7, drop_prob=0.2, outages=((0.5, 0.8),)))
+        result = MultiClientSystem(alexnet_engine, 3, config=config).run(2.0)
+        client = result.timelines[0]
+        latencies = sorted(client.latencies)
+        assert len(latencies) == 3 and math.isinf(latencies[-1])
+        # A naive client stalls on its dropped upload: its median is its
+        # slower finished request and its tail is the stall.
+        assert client.percentile_latency(50) == latencies[1]
+        assert client.percentile_latency(95) == math.inf
+        assert result.p95_latency == math.inf
+
+
 class TestTimelineForServer:
     def test_filters_by_server_id(self):
         from repro.runtime.system import Timeline

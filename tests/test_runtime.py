@@ -30,6 +30,25 @@ class TestEventLoop:
         loop.run_until(1.0)
         assert seen == ["a", "b", "c"]
 
+    def test_last_events_fire_after_others_at_their_instant(self):
+        loop = EventLoop()
+        seen = []
+        loop.schedule_at(1.0, lambda: seen.append("request"), last=True)
+        loop.schedule_at(1.0, lambda: seen.append("tick"))
+        loop.schedule_at(0.5, lambda: seen.append("early request"), last=True)
+        loop.run_until(1.0)
+        assert seen == ["early request", "tick", "request"]
+
+    def test_stop_keeps_the_clock_at_the_stopping_event(self):
+        loop = EventLoop()
+        seen = []
+        loop.schedule_at(1.0, loop.stop)
+        loop.schedule_at(2.0, lambda: seen.append(2.0))
+        loop.run_until(5.0)
+        assert loop.now == 1.0 and seen == []
+        loop.run_until(5.0)
+        assert loop.now == 5.0 and seen == [2.0]
+
     def test_periodic(self):
         loop = EventLoop()
         ticks = []
@@ -49,10 +68,6 @@ class TestEventLoop:
         loop.schedule_at(10.0, lambda: seen.append(1))
         loop.run_until(5.0)
         assert seen == []
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            EventLoop().schedule_after(-1.0, lambda: None)
 
     def test_invalid_period(self):
         with pytest.raises(ValueError):
@@ -278,6 +293,46 @@ class TestEmptyTimeline:
         empty = timeline.between(1e9, 2e9)
         assert len(empty) == 0
         assert np.isnan(empty.mean_latency())
+
+
+class TestPercentileLatency:
+    """Percentiles next to stalled requests (``total_s = inf``)."""
+
+    @staticmethod
+    def _timeline(totals):
+        from types import SimpleNamespace
+
+        from repro.runtime.system import Timeline
+
+        return Timeline([SimpleNamespace(total_s=t) for t in totals])
+
+    def test_rank_on_a_value_returns_it(self):
+        # np.percentile reads 2.0 + 0 * inf = nan here.
+        assert self._timeline([1.0, 2.0, np.inf]).percentile_latency(50) == 2.0
+        assert self._timeline([np.inf, 1.0, np.inf]).percentile_latency(50) == np.inf
+
+    def test_interpolating_toward_inf_is_inf(self):
+        assert self._timeline([1.0, 2.0, np.inf]).percentile_latency(95) == np.inf
+        assert self._timeline([1.0, 2.0, np.inf, np.inf]).percentile_latency(95) == np.inf
+        assert self._timeline([1.0, np.inf]).percentile_latency(10) == np.inf
+
+    def test_never_nan_and_monotone(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            totals = rng.exponential(0.2, size=int(rng.integers(1, 9)))
+            totals[rng.random(totals.size) < 0.4] = np.inf
+            values = [self._timeline(totals).percentile_latency(q)
+                      for q in np.linspace(0.0, 100.0, 41)]
+            assert not np.isnan(values).any()
+            assert values == sorted(values)
+
+    def test_finite_input_is_numpy_exactly(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 3, 7, 50):
+            totals = rng.exponential(0.2, size=n)
+            for q in (0, 5, 37.5, 50, 95, 99, 100):
+                assert (self._timeline(totals).percentile_latency(q)
+                        == float(np.percentile(totals, q)))
 
 
 class TestFunctionalMode:
