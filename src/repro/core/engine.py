@@ -30,11 +30,22 @@ tensor ``v`` completes.  The load factor ``k`` still scales every
 server-side compute term; decode runs on the server CPU and is charged
 unscaled.  With the identity codec and no chunking the joint scan
 reduces to exactly Algorithm 1 (bit-for-bit the same candidate vector).
+
+The three scans, :meth:`decide`, :meth:`decide_exit_fleet` and
+:meth:`decide_joint`, are pure functions of their arguments and of arrays
+fixed at construction, and a client's inputs (the window-median bandwidth
+and ``k``) change only when a probe, a transfer or the watchdog updates
+them.  So each engine keeps a bounded LRU memo of its decisions, keyed on
+the scan and its exact argument values; callers share the returned
+decisions, whose arrays are therefore read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -50,6 +61,55 @@ from repro.graph.exits import ExitBranch, validate_exits
 from repro.graph.graph import ComputationGraph
 from repro.profiling.features import NodeProfile, profile_graph
 from repro.profiling.predictor import LatencyPredictor
+
+#: Decisions one engine remembers; the least recently used one goes first.
+_MEMO_SIZE = 256
+
+
+def _memoized(scan):
+    """Serve repeated calls of an engine scan from the engine's LRU memo.
+
+    The key is the scan's name, its positional arguments and its keyword
+    arguments by name, compared by value, with lists turned into tuples.
+    ``ServerProfile`` and ``StreamingConfig`` arguments are frozen and
+    hashable and enter the key themselves, holding their predictors
+    alive.  A call that raises stores nothing, and a call with an
+    unhashable argument bypasses the memo.
+    """
+    name = scan.__name__
+
+    @functools.wraps(scan)
+    def memoized(self, *args, **kwargs):
+        # The positional count keeps a keyword pair from passing for a
+        # positional argument.
+        key = [name, len(args)]
+        for value in args:
+            key.append(tuple(value) if type(value) is list else value)
+        for item in kwargs.items():
+            if type(item[1]) is list:
+                item = (item[0], tuple(item[1]))
+            key.append(item)
+        key = tuple(key)
+        memo = self._memo
+        try:
+            decision = memo.get(key)
+        except TypeError:
+            return scan(self, *args, **kwargs)
+        if decision is None:
+            decision = scan(self, *args, **kwargs)
+            memo[key] = decision
+            if len(memo) > _MEMO_SIZE:
+                memo.popitem(last=False)
+        else:
+            memo.move_to_end(key)
+        return decision
+
+    return memoized
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -216,6 +276,8 @@ class LoADPartEngine:
         # predictor identity (the cache holds a strong reference, so ids
         # cannot be recycled while an entry lives).
         self._suffix_stacks: Dict[int, Tuple[object, np.ndarray]] = {}
+        # The decision memo of :func:`_memoized`, oldest entry first.
+        self._memo: OrderedDict = OrderedDict()
 
     def _stack_exits(self, vectors: Sequence[np.ndarray], fill: float) -> np.ndarray:
         """One vector per exit, stacked and padded with ``fill``."""
@@ -252,6 +314,7 @@ class LoADPartEngine:
             return 1.0
         return self.exits[-1 if index is None else index].accuracy
 
+    @_memoized
     def decide(
         self,
         bandwidth_up: float,
@@ -271,7 +334,7 @@ class LoADPartEngine:
         a ``None`` profile or a profile without a predictor uses the
         engine's shared suffix bit-for-bit.
         """
-        return partition_decision(
+        decision = partition_decision(
             self.device_times,
             self.edge_times,
             self.sizes,
@@ -284,6 +347,8 @@ class LoADPartEngine:
             offload_only=offload_only,
             extra_latency_s=extra_latency_s,
         )
+        _read_only(decision.candidates)
+        return decision
 
     def _suffix_for(self, profile: ServerProfile | None) -> np.ndarray:
         """Suffix array of this engine's graph under one server profile."""
@@ -350,7 +415,8 @@ class LoADPartEngine:
                         "profile carries no prior"
                     )
                 bandwidths[s] = p.bandwidth_bps
-        servers = list(range(num)) if allowed is None else sorted(set(allowed))
+        servers = (list(range(num)) if allowed is None
+                   else sorted({operator.index(s) for s in allowed}))
         if any(not 0 <= s < num for s in servers):
             raise ValueError(f"allowed indices must be in [0, {num})")
         for s in servers:
@@ -398,6 +464,7 @@ class LoADPartEngine:
             bandwidth_down=bandwidth_down, offload_only=offload_only,
             profiles=[profile])
 
+    @_memoized
     def decide_exit_fleet(
         self,
         sla_s: float | None,
@@ -468,6 +535,7 @@ class LoADPartEngine:
         # First minimum of the reversed rows: the latest point wins ties.
         points = self._grid_width - 1 - scan[..., ::-1].argmin(axis=-1)
         latencies = scan.min(axis=-1)
+        _read_only(grid, points, latencies)
 
         if servers:
             best = latencies.argmin(axis=1)  # the earliest server wins ties
@@ -487,7 +555,7 @@ class LoADPartEngine:
             server=exit_servers[chosen],
             predicted_latency=exit_latencies[chosen],
             accuracy=self.exit_accuracy(first + chosen),
-            sla_s=sla_s,
+            sla_s=None if sla_s is None else float(sla_s),
             feasible=feasible,
             exits=tuple(range(first, self.num_exits)),
             servers=tuple(servers),
@@ -617,6 +685,7 @@ class LoADPartEngine:
             self._wire_cache[codec_name] = wire
         return self._wire_cache[codec_name]
 
+    @_memoized
     def decide_joint(self, bandwidth_up: float, k: float = 1.0,
                      streaming=None,
                      bandwidth_down: float | None = None,
@@ -699,6 +768,7 @@ class LoADPartEngine:
                 modes.append(("stream", stream))
 
             for mode, arr in modes:
+                _read_only(arr)
                 scan = arr[:-1] if offload_only else arr
                 point = int(len(scan) - 1 - np.argmin(scan[::-1]))
                 value = float(scan[point])
@@ -715,10 +785,11 @@ class LoADPartEngine:
                  bandwidth_down: float | None = None) -> JointDecision:
         """A :class:`JointDecision` pinned to ``(point, codec, mode)``.
 
-        Runs the same candidate computation as :meth:`decide_joint` but
-        skips the argmin: benchmarks and tests use this to compare arms at
-        one fixed cut (e.g. streaming+zlib vs monolithic fp32 at the same
-        transfer-dominated point).
+        Runs the full :meth:`decide_joint` scan (a memo hit when it has
+        just run on the same arguments) and reads the pinned candidate out
+        of its vectors instead of the argmin: benchmarks and tests use this
+        to compare arms at one fixed cut (e.g. streaming+zlib vs monolithic
+        fp32 at the same transfer-dominated point).
         """
         self._check_point(point)
         jd = self.decide_joint(bandwidth_up, k=k, streaming=streaming,
@@ -759,7 +830,7 @@ class LoADPartEngine:
             predicted_latency=value,
             predicted_device_s=float(self._prefix[point]),
             predicted_encode_s=float(codec.encode_time_s(raw_b)),
-            predicted_upload_s=upload_s,
+            predicted_upload_s=float(upload_s),
             predicted_decode_s=float(codec.decode_time_s(raw_b)),
             predicted_server_s=float(k * self._suffix[point]),
             wire_bytes=wire_b,

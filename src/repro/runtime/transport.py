@@ -223,20 +223,28 @@ class TransportServer:
 
     async def _streamed(self, header: dict, reader: asyncio.StreamReader,
                         ) -> Tuple[dict, bytes]:
-        """Streamed request: decode and feed tensors as their bytes land."""
+        """Streamed request: decode and feed tensors as their bytes land.
+
+        A request that fails before its ``end`` frame is read through that
+        frame before the error propagates, so the connection answers every
+        request exactly once and the next request starts on its own frame.
+        """
         t0 = time.perf_counter()
         request_id = header.get("request_id")
-        plan = self._tail_plan(int(header["point"]))
-        metas: List[dict] = list(header["tensors"])
-        ends = list(np.cumsum([int(m["nbytes"]) for m in metas]))
-        stream = plan.begin_streaming()
-        buf = bytearray()
-        next_tensor = 0
+        stream = None
+        ended = False
         t_last = t0
         try:
+            plan = self._tail_plan(int(header["point"]))
+            metas: List[dict] = list(header["tensors"])
+            ends = list(np.cumsum([int(m["nbytes"]) for m in metas]))
+            stream = plan.begin_streaming()
+            buf = bytearray()
+            next_tensor = 0
             while True:
                 chunk_header, chunk = await recv_frame(reader)
                 cop = chunk_header.get("op")
+                ended = cop == "end"
                 if chunk_header.get("request_id") != request_id:
                     raise ValueError("interleaved request ids on one stream")
                 if cop == "chunk":
@@ -248,15 +256,21 @@ class TransportServer:
                         stream.feed(meta["name"], _meta_tensor(
                             meta, bytes(buf[start:ends[next_tensor]])))
                         next_tensor += 1
-                elif cop == "end":
+                elif ended:
                     break
                 else:
                     raise ValueError(f"unexpected op {cop!r} mid-stream")
             if next_tensor < len(metas):
                 raise ValueError("stream ended before all tensors arrived")
             results = stream.finish()
-        except BaseException:
-            stream.abort()
+        except BaseException as exc:
+            if stream is not None:
+                stream.abort()
+            if not ended and isinstance(exc, Exception) and not isinstance(
+                    exc, (asyncio.IncompleteReadError, ConnectionError)):
+                # Skip the failed request's remaining frames.
+                while (await recv_frame(reader))[0].get("op") != "end":
+                    pass
             raise
         return self._reply(header, results[self.graph.output_name], t0, t_last)
 
@@ -291,7 +305,7 @@ class TransportClient:
         self._next_id += 1
         request_id = self._next_id
         names = list(order) if order is not None else list(boundary)
-        if set(names) != set(boundary):
+        if len(names) != len(boundary) or set(names) != set(boundary):
             raise ValueError("order must cover exactly the boundary tensors")
         enc = TensorCodec(codec)
         encoded = [(name, enc.encode(boundary[name])) for name in names]

@@ -655,3 +655,247 @@ class TestFleetDifferential:
             assert dressed.server == plain.server
             assert dressed.predicted_latency == plain.predicted_latency
             assert np.array_equal(plain.candidates[0], dressed.candidates[0])
+
+
+def _assert_bitwise(got, ref):
+    """Two decisions (or any of their fields) equal bit for bit.
+
+    Arrays match in dtype, shape and bytes; scalars match in type and
+    value, so a memo hit cannot hand back another caller's ``np.float64``.
+    """
+    import dataclasses
+
+    assert type(got) is type(ref)
+    if dataclasses.is_dataclass(got):
+        for f in dataclasses.fields(got):
+            _assert_bitwise(getattr(got, f.name), getattr(ref, f.name))
+    elif isinstance(got, np.ndarray):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+    elif isinstance(got, dict):
+        assert list(got) == list(ref)
+        for key in got:
+            _assert_bitwise(got[key], ref[key])
+    elif isinstance(got, tuple):
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            _assert_bitwise(g, r)
+    elif isinstance(got, float):
+        assert got.hex() == ref.hex()
+    else:
+        assert got == ref
+
+
+def _decision_arrays(decision):
+    """Every array a decision carries."""
+    arrays = []
+    for value in vars(decision).values():
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, tuple):
+            arrays += [v for v in value if isinstance(v, np.ndarray)]
+        elif isinstance(value, dict):
+            arrays += list(value.values())
+    return arrays
+
+
+class TestDecisionMemo:
+    """The engine's decision memo is invisible except in speed.
+
+    A call served from the memo must equal, field for field and bit for
+    bit, the same call on an engine that has never decided anything; the
+    memo is a bounded LRU, stores nothing for a call that raises, keys
+    profiles by their predictor objects, and hands out read-only arrays.
+    """
+
+    @given(data=st.data(), setup=random_exit_engine())
+    @settings(max_examples=30, deadline=None)
+    def test_memo_hits_equal_fresh_engines(self, data, setup):
+        import copy
+
+        from repro.core.engine import ServerProfile
+        from repro.network.streaming import StreamingConfig
+        from repro.profiling.predictor import ScaledPredictor
+
+        engine, edge_base = setup
+        pristine = copy.deepcopy(engine)
+        bandwidth = st.sampled_from([1e5, 2e6, 8e6, 8e6 + 1, 1e8])
+        load = st.sampled_from([1.0, 1.5, 40.0])
+        profiles = [None, ServerProfile(extra_latency_s=0.01),
+                    ServerProfile(edge_predictor=ScaledPredictor(edge_base, 2.0)),
+                    ServerProfile(edge_predictor=ScaledPredictor(edge_base, 2.0))]
+        streams = [StreamingConfig(chunk_bytes=None, codecs=("fp32",)),
+                   StreamingConfig(chunk_bytes=1024),
+                   StreamingConfig(chunk_bytes=2048, codecs=("zlib", "fp32"))]
+
+        def call():
+            kind = data.draw(st.sampled_from(["decide", "grid", "joint"]))
+            bw, k = data.draw(bandwidth), data.draw(load)
+            offload_only = data.draw(st.booleans())
+            if kind == "decide":
+                return "decide", (bw,), dict(
+                    k=k, offload_only=offload_only,
+                    profile=data.draw(st.sampled_from(profiles)))
+            if kind == "joint":
+                return "decide_joint", (bw, k), dict(
+                    streaming=data.draw(st.sampled_from(streams)),
+                    offload_only=offload_only)
+            num = data.draw(st.integers(1, 3))
+            sla = data.draw(st.sampled_from([None, 1e-3, 0.05, 5.0]))
+            return "decide_exit_fleet", (
+                sla, [bw] * num, [data.draw(load) for _ in range(num)],
+            ), dict(profiles=[data.draw(st.sampled_from(profiles))
+                              for _ in range(num)],
+                    allowed=data.draw(st.one_of(
+                        st.none(), st.lists(st.integers(0, num - 1),
+                                            max_size=num))),
+                    offload_only=offload_only)
+
+        pool = [call() for _ in range(data.draw(st.integers(1, 6)))]
+        seen = {}
+        for index in data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                        min_size=1, max_size=12)):
+            name, args, kwargs = pool[index]
+            got = getattr(engine, name)(*args, **kwargs)
+            fresh = copy.deepcopy(pristine)
+            _assert_bitwise(got, getattr(fresh, name)(*args, **kwargs))
+            if index in seen:
+                assert got is seen[index]  # served from the memo
+            seen[index] = got
+
+    def test_lru_evicts_the_least_recently_used(self, squeezenet_engine):
+        import copy
+
+        from repro.core.engine import _MEMO_SIZE
+
+        engine = copy.deepcopy(squeezenet_engine)
+        engine._memo.clear()
+        first = [engine.decide(1e6 + i) for i in range(_MEMO_SIZE)]
+        assert engine.decide(1e6) is first[0]   # a hit refreshes entry 0
+        newest = engine.decide(1e6 + _MEMO_SIZE)  # evicts entry 1, not 0
+        assert engine.decide(1e6) is first[0]
+        assert engine.decide(1e6 + _MEMO_SIZE) is newest
+        again = engine.decide(1e6 + 1)
+        assert again is not first[1]  # recomputed
+        _assert_bitwise(again, first[1])
+        assert len(engine._memo) == _MEMO_SIZE
+
+    def test_a_raising_call_stores_nothing(self, squeezenet_exit_engine):
+        from repro.network.streaming import StreamingConfig
+
+        engine = squeezenet_exit_engine
+        bad_calls = [
+            lambda: engine.decide(-1.0),
+            lambda: engine.decide(8e6, k=0.5),
+            lambda: engine.decide_exit(0.0, 8e6),
+            lambda: engine.decide_fleet([8e6, None], [1.0, 1.0]),
+            lambda: engine.decide_joint(8e6),
+        ]
+        size = len(engine._memo)
+        for bad in bad_calls:
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    bad()
+        assert len(engine._memo) == size
+        # A keyword pair passed positionally is a different call.
+        cfg = StreamingConfig(chunk_bytes=4096)
+        engine.decide_joint(8e6, 1.0, streaming=cfg)
+        with pytest.raises(AttributeError):
+            engine.decide_joint(8e6, 1.0, ("streaming", cfg))
+
+    def test_profiles_with_distinct_predictors_never_share(
+            self, trained_report, squeezenet_engine):
+        from repro.core.engine import ServerProfile
+        from repro.profiling.predictor import ScaledPredictor
+
+        edge = trained_report.edge_predictor
+        slow = ServerProfile(edge_predictor=ScaledPredictor(edge, 3.0))
+        fast = ServerProfile(edge_predictor=ScaledPredictor(edge, 0.25))
+        twin = ServerProfile(edge_predictor=ScaledPredictor(edge, 3.0))
+        engine = squeezenet_engine
+        d_slow = engine.decide(8e6, profile=slow)
+        d_fast = engine.decide(8e6, profile=fast)
+        d_twin = engine.decide(8e6, profile=twin)
+        assert d_fast is not d_slow and d_twin is not d_slow
+        assert not np.array_equal(d_fast.candidates, d_slow.candidates)
+        _assert_bitwise(d_twin, d_slow)
+        grid = [engine.decide_fleet([8e6], [1.0], profiles=[p])
+                for p in (slow, fast, twin)]
+        assert len({id(d) for d in grid}) == 3
+
+    def test_returned_arrays_are_read_only(self, squeezenet_exit_engine):
+        from repro.network.streaming import StreamingConfig
+
+        engine = squeezenet_exit_engine
+        decisions = [
+            engine.decide(8e6),
+            engine.decide_exit(0.05, 8e6),
+            engine.decide_fleet([8e6, 4e6], [1.0, 2.0], offload_only=True),
+            engine.decide_joint(8e6, streaming=StreamingConfig(chunk_bytes=4096)),
+            engine.joint_at(engine.num_nodes, "fp32", False, 8e6,
+                            streaming=StreamingConfig()),
+        ]
+        for decision in decisions:
+            arrays = _decision_arrays(decision)
+            assert arrays
+            for array in arrays:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[...] = 0.0
+
+    def test_argument_types_do_not_leak_through_hits(self, squeezenet_exit_engine):
+        """Equal arguments of different numeric types share an entry, so
+        no field may take its type from the caller's argument."""
+        engine = squeezenet_exit_engine
+        from repro.network.streaming import StreamingConfig
+
+        cfg = StreamingConfig(chunk_bytes=4096)
+        for first, second in ((0.05, np.float64(0.05)),
+                              (np.float64(0.07), 0.07)):
+            a = engine.decide_exit(first, 8e6)
+            b = engine.decide_exit(second, 8e6)
+            assert type(a.sla_s) is type(b.sla_s) is float
+        for first, second in ((3e6, np.float64(3e6)), (np.float64(5e6), 5e6)):
+            a = engine.decide_joint(first, streaming=cfg)
+            b = engine.decide_joint(second, streaming=cfg)
+            assert type(a.predicted_upload_s) is float
+            assert type(b.predicted_upload_s) is float
+        d = engine.decide_fleet([8e6, 8e6], [1.0, 1.0],
+                                allowed=[np.int64(1)])
+        assert type(d.servers[0]) is int
+        assert d.server is None or type(d.server) is int
+
+
+class TestBandwidthMedian:
+    """``BandwidthEstimator.estimate`` is ``np.median`` of its window."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_estimate_is_np_median_bitwise(self, data):
+        from repro.network.estimator import BandwidthEstimator
+
+        est = BandwidthEstimator(
+            window_size=data.draw(st.integers(1, 8), label="window_size"),
+            window_s=data.draw(st.sampled_from([None, 0.5, 2.0]),
+                               label="window_s"))
+        nbytes = st.sampled_from([1000, 4096, 65536, 123457])
+        duration = st.one_of(st.sampled_from([0.01, 0.02, 0.3]),
+                             st.floats(1e-4, 2.0))
+        now = 0.0
+        for _ in range(data.draw(st.integers(1, 30), label="steps")):
+            op = data.draw(st.sampled_from(
+                ["probe", "passive", "failure", "probe", "reset"]))
+            now += data.draw(st.sampled_from([0.0, 0.1, 0.7]))
+            if op == "reset":
+                est.reset()
+            else:
+                getattr(est, {"probe": "add_probe", "passive": "add_passive",
+                              "failure": "add_failure"}[op])(
+                    now, data.draw(nbytes), data.draw(duration))
+            got = est.estimate()
+            window = [s.bandwidth_bps for s in est._window]
+            if window:
+                assert type(got) is float
+                assert got.hex() == float(np.median(window)).hex()
+            else:
+                assert got == 8e6

@@ -52,7 +52,12 @@ def local_reference():
 
 
 def _with_session(coro_fn):
-    """Start a server on an ephemeral port, connect, run, tear down."""
+    """Start a server on an ephemeral port, connect, run, tear down.
+
+    The teardown is bounded: a connection that fell out of step with its
+    requests can leave the server without a shutdown frame, which must
+    fail the test rather than hang it.
+    """
     async def main():
         server = TransportServer(MODEL, seed=SEED)
         host, port = await server.start()
@@ -62,7 +67,7 @@ def _with_session(coro_fn):
         finally:
             await client.shutdown_server()
             await client.close()
-            await server.wait_closed()
+            await asyncio.wait_for(server.wait_closed(), timeout=30.0)
     return asyncio.run(main())
 
 
@@ -141,22 +146,48 @@ class TestLoopback:
 
 class TestErrorHandling:
     def test_error_reply_keeps_connection_serving(self, local_reference):
+        """Every rejected request gets exactly one error reply, monolithic
+        or streamed, and valid requests on the same connection still
+        succeed: a failed stream is read through its ``end`` frame."""
         _graph, reference, boundary = local_reference
+        name = next(iter(boundary))
+        misshapen = dict(boundary)
+        misshapen[name] = np.ascontiguousarray(boundary[name][..., :-1])
+        rejected = [
+            dict(point=10 ** 6, boundary=boundary),  # invalid point
+            dict(point=10 ** 6, boundary=boundary, chunk_bytes=4096),
+            # A wrong tensor shape, detected mid-stream.
+            dict(point=POINT, boundary=misshapen, chunk_bytes=4096),
+        ]
 
         async def drive(client):
-            with pytest.raises(RuntimeError, match="server error"):
-                await client.offload(10 ** 6, boundary)  # invalid point
-            return await client.offload(POINT, boundary)
+            outs = []
+            for bad in rejected:
+                with pytest.raises(RuntimeError, match="server error"):
+                    await client.offload(**bad)
+                for chunk_bytes in (None, 4096, None):
+                    outs.append(await client.offload(
+                        POINT, boundary, codec="zlib" if chunk_bytes else "fp32",
+                        chunk_bytes=chunk_bytes))
+            return outs
 
-        out = _with_session(drive)
-        assert out.result.tobytes() == np.ascontiguousarray(reference).tobytes()
+        outs = _with_session(drive)
+        assert len(outs) == 9
+        for out in outs:
+            assert out.result.tobytes() == np.ascontiguousarray(reference).tobytes()
 
     def test_bad_order_rejected_client_side(self, local_reference):
         _graph, _reference, boundary = local_reference
+        twice = list(boundary) + [next(iter(boundary))]
 
         async def drive(client):
             with pytest.raises(ValueError, match="order must cover"):
                 await client.offload(POINT, boundary, order=["nope"])
+            for chunk_bytes in (None, 4096):
+                # A duplicate name must not ship one tensor twice.
+                with pytest.raises(ValueError, match="order must cover"):
+                    await client.offload(POINT, boundary, order=twice,
+                                         chunk_bytes=chunk_bytes)
             return True
 
         assert _with_session(drive)

@@ -45,13 +45,17 @@ direct client-server path, and on the heterogeneous (fast+near vs
 slow+far) cell the profile-aware arm's p95 must strictly beat the
 profile-blind arm's.
 
-``BENCH_streaming.json`` reports gate on the candidate alone (the numbers
+``BENCH_streaming.json`` reports gate on the candidate's own numbers (they
 come from the declared cost model, so host speed cancels entirely):
 streamed lossless uploads must beat the monolithic fp32 upload by at
 least 1.3x at every pinned transfer-dominated (≤8 Mbps) cell, the joint
 ``(point, codec, chunking)`` policy may not regress the plain Algorithm 1
 decision by more than 5% at any bandwidth, and every model must shift its
-``(point, codec)`` choice across the sweep.
+``(point, codec)`` choice across the sweep.  The discrete choices must also
+equal the baseline's: each model's pinned point, and the point, codec,
+mode and chunk count of every decision row.  Latencies are not pinned:
+they come from predictors trained on the host and can differ in the last
+digit across machines.
 """
 
 from __future__ import annotations
@@ -339,15 +343,48 @@ def compare_parallel_samples(baseline: dict, candidate: dict,
     return regressions
 
 
+#: The discrete fields of a streaming decision row that must equal the
+#: baseline's.
+STREAMING_CHOICE_FIELDS = ("point", "codec", "streamed", "chunks")
+
+
+def streaming_choice_changes(name: str, base: dict, entry: dict) -> list[str]:
+    """Where a model's discrete streaming choices differ from the baseline.
+
+    Compares the pinned point and, per bandwidth, the decision row's
+    :data:`STREAMING_CHOICE_FIELDS`; every decision must be present in
+    both reports.
+    """
+    changes = []
+    if entry["pinned_point"] != base["pinned_point"]:
+        changes.append(f"{name}: pinned point {base['pinned_point']} -> "
+                       f"{entry['pinned_point']}")
+    base_rows = {row["bandwidth_mbps"]: row for row in base["decisions"]}
+    cand_rows = {row["bandwidth_mbps"]: row for row in entry["decisions"]}
+    for mbps in sorted(set(base_rows) | set(cand_rows)):
+        if mbps not in base_rows or mbps not in cand_rows:
+            changes.append(f"{name}: {mbps:g} Mbps decision present in one "
+                           "report only")
+            continue
+        was = tuple(base_rows[mbps][f] for f in STREAMING_CHOICE_FIELDS)
+        now = tuple(cand_rows[mbps][f] for f in STREAMING_CHOICE_FIELDS)
+        if was != now:
+            changes.append(
+                f"{name}: {mbps:g} Mbps decision (point, codec, streamed, "
+                f"chunks) {was} -> {now}")
+    return changes
+
+
 def compare_streaming(baseline: dict, candidate: dict,
                       threshold: float) -> list[str]:
-    """Gate streamed+codec offloading on the candidate's own report.
+    """Gate streamed+codec offloading on its report and its baseline.
 
     All numbers come from the engine's declared cost model, so they are
-    host-independent; the baseline provides side-by-side context only.
-    Hard gates: the transfer-bound speedup floor at low bandwidth, the
-    joint-policy regression bound, and a demonstrable (point, codec)
-    shift across each model's bandwidth sweep.
+    host-independent.  Hard gates: the transfer-bound speedup floor at
+    low bandwidth, the joint-policy regression bound, a demonstrable
+    (point, codec) shift across each model's bandwidth sweep, and the
+    discrete choices of every model the baseline also reports
+    (:func:`streaming_choice_changes`).
     """
     regressions: list[str] = []
     base_results = baseline["results"]
@@ -359,6 +396,11 @@ def compare_streaming(baseline: dict, candidate: dict,
         low_ratio = entry["min_low_bw_ratio"]
         policy_reg = entry["max_policy_regression"]
         marker = ""
+        if base is not None:
+            changes = streaming_choice_changes(name, base, entry)
+            if changes:
+                marker = "  <-- CHANGED"
+                regressions += changes
         if low_ratio < STREAMING_LOW_BW_FLOOR:
             marker = "  <-- REGRESSION"
             regressions.append(
