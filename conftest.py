@@ -3,8 +3,8 @@
 The profiled-model fixtures live here (instead of per-directory copies) and
 route through :mod:`repro.experiments.context`, whose builders are
 ``lru_cache``'d per (samples, seed): one offline-profiler run and one
-engine per model serve the whole process — unit tests, the differential
-parallel sweep, and the benchmark suite alike.
+engine per model serve the whole process — unit tests and the benchmark
+suite alike.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ process, runs Algorithm 1's joint (point, codec) decision, executes the
 head segment locally, then ships the crossing tensors twice — once as a
 monolithic fp32 upload and once streamed in chunks with the decided codec
 — and checks both replies against local execution.  The streamed request
-lets the server decode tensors and start tail chains while later bytes
+lets the server decode tensors and run tail steps while later bytes
 are still in flight; its ``tail_s`` (server time exposed after the last
 byte) is the real-socket counterpart of the simulator's overlap credit.
 

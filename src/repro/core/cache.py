@@ -1,16 +1,21 @@
-"""The partition cache (§III-A).
+"""The per-partition caches (§III-A).
 
 Partitioning a DNN and preparing the runtime for the two subgraphs is not
 free; the paper amortises it with a cache keyed by the partition point,
 holding the partitioned computation graph and auxiliary structures.  Both
 the device and the server keep one.  With the cache, partition overhead
 amortises to ~1% of inference time over ~100 requests.
+
+The runtime prepared for a subgraph is a compiled executor;
+:class:`CompileOnceCache` holds those (the server keys them by graph,
+point and batch size) and builds each key's executor exactly once.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from typing import Callable, Dict, Hashable, TypeVar
 
 from repro.graph.partitioner import GraphPartitioner, PartitionedGraph
 
@@ -18,11 +23,12 @@ from repro.graph.partitioner import GraphPartitioner, PartitionedGraph
 class PartitionCache:
     """LRU cache: partition point -> :class:`PartitionedGraph`.
 
-    Thread-safe: the batching event loop and branch-parallel plan chains
-    can look up partitions concurrently, and an ``OrderedDict`` mid
-    ``move_to_end``/``popitem`` must never be observed torn.  Partitioning
-    the same point twice under a race is harmless (the result is
-    deterministic), so the lock only guards the bookkeeping.
+    Thread-safe: threads sharing one device or server (for instance the
+    builders of its :class:`CompileOnceCache`) can look up partitions
+    concurrently, and an ``OrderedDict`` mid ``move_to_end``/``popitem``
+    must never be observed torn.  Partitioning the same point twice under
+    a race is harmless (the result is deterministic), so the lock only
+    guards the bookkeeping.
     """
 
     def __init__(self, partitioner: GraphPartitioner, capacity: int = 32) -> None:
@@ -68,3 +74,75 @@ class PartitionCache:
             self._entries.clear()
             self.hits = 0
             self.misses = 0
+
+
+K = TypeVar("K", bound=Hashable)
+V = TypeVar("V")
+
+
+class _Cell:
+    __slots__ = ("event", "value", "error")
+
+    def __init__(self) -> None:
+        self.event = threading.Event()
+        self.value = None
+        self.error: BaseException | None = None
+
+
+class CompileOnceCache:
+    """Keyed build-once cache safe under concurrent lookups.
+
+    Exactly one caller per key runs the factory; every other caller blocks
+    until the build finishes and then shares the same object (torn state is
+    impossible: the key is published before the build, the value only
+    after).  A failed build propagates its exception to all waiters and
+    evicts the key so a later call may retry.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._cells: Dict[Hashable, _Cell] = {}
+        self.builds = 0
+        self.hits = 0
+
+    def get_or_create(self, key: K, factory: Callable[[], V]) -> V:
+        with self._lock:
+            cell = self._cells.get(key)
+            if cell is None:
+                cell = _Cell()
+                self._cells[key] = cell
+                builder = True
+                self.builds += 1
+            else:
+                builder = False
+                self.hits += 1
+        if not builder:
+            cell.event.wait()
+            if cell.error is not None:
+                raise cell.error
+            return cell.value
+        try:
+            cell.value = factory()
+        except BaseException as exc:
+            cell.error = exc
+            with self._lock:
+                # Evict so the next caller can retry a transient failure.
+                if self._cells.get(key) is cell:
+                    del self._cells[key]
+            cell.event.set()
+            raise
+        cell.event.set()
+        return cell.value
+
+    def __contains__(self, key: Hashable) -> bool:
+        with self._lock:
+            cell = self._cells.get(key)
+        return cell is not None and cell.event.is_set() and cell.error is None
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._cells)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._cells.clear()

@@ -17,7 +17,6 @@ from repro.graph.graph import ComputationGraph
 from repro.graph.node import CNode, Parameter
 from repro.graph.partitioner import Segment
 from repro.nn.kernels import KERNELS
-from repro.nn.parallel import ParallelConfig, default_parallelism
 
 #: Available execution backends: "naive" walks the env dict per call,
 #: "planned" runs a compiled plan (see :mod:`repro.nn.plan`).
@@ -28,29 +27,6 @@ def _check_backend(backend: str) -> str:
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
     return backend
-
-
-def _resolve_parallelism(backend: str,
-                         parallelism: ParallelConfig | None) -> ParallelConfig | None:
-    """Validate the parallelism knob against the backend.
-
-    Only the planned backend can run parallel (chains and per-sample
-    slices are properties of compiled plans); an explicit config on the
-    naive backend is a user error, while the
-    :envvar:`REPRO_PARALLEL_THREADS` default applies to planned executors
-    only.  On a ``batch > 1`` planned executor the config additionally
-    enables per-sample slicing (2-D sample × chain scheduling) unless
-    ``sample_parallel=False``.
-    """
-    if parallelism is not None:
-        if backend != "planned":
-            raise ValueError(
-                f"parallelism requires backend='planned', got backend={backend!r}"
-            )
-        return parallelism
-    if backend == "planned":
-        return default_parallelism()
-    return None
 
 
 def _param_rng(seed: int, name: str) -> np.random.Generator:
@@ -123,8 +99,7 @@ class GraphExecutor:
 
     def __init__(self, graph: ComputationGraph, seed: int = 0,
                  params: Dict[str, np.ndarray] | None = None,
-                 backend: str = "naive", batch: int = 1,
-                 parallelism: "ParallelConfig | None" = None) -> None:
+                 backend: str = "naive", batch: int = 1) -> None:
         graph.validate()
         self._graph = graph
         self._order = graph.topological_order()
@@ -134,13 +109,10 @@ class GraphExecutor:
         self._backend = _check_backend(backend)
         self._batch = int(batch)
         self._plan = None
-        parallelism = _resolve_parallelism(backend, parallelism)
-        self.parallelism = parallelism
         if backend == "planned":
             from repro.nn.plan import GraphPlan  # deferred: plan imports this module
 
-            self._plan = GraphPlan(graph, seed=seed, params=self._params,
-                                   batch=batch, parallel=parallelism)
+            self._plan = GraphPlan(graph, seed=seed, params=self._params, batch=batch)
 
     @property
     def params(self) -> Dict[str, np.ndarray]:
@@ -187,20 +159,16 @@ class SegmentExecutor:
 
     def __init__(self, segment: Segment, seed: int = 0,
                  params: Dict[str, np.ndarray] | None = None,
-                 backend: str = "naive", batch: int = 1,
-                 parallelism: "ParallelConfig | None" = None) -> None:
+                 backend: str = "naive", batch: int = 1) -> None:
         self._segment = segment
         self._params = params if params is not None else init_parameters(segment.nodes, seed)
         self._backend = _check_backend(backend)
         self._batch = int(batch)
         self._plan = None
-        parallelism = _resolve_parallelism(backend, parallelism)
-        self.parallelism = parallelism
         if backend == "planned":
             from repro.nn.plan import SegmentPlan  # deferred: plan imports this module
 
-            self._plan = SegmentPlan(segment, seed=seed, params=self._params,
-                                     batch=batch, parallel=parallelism)
+            self._plan = SegmentPlan(segment, seed=seed, params=self._params, batch=batch)
 
     @property
     def params(self) -> Dict[str, np.ndarray]:

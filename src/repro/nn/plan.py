@@ -37,15 +37,6 @@ O=64,K=288,M=49 — so it is deliberately rejected), matmuls run one
 row-GEMV per sample, and every other kernel reduces strictly within a
 sample.
 
-Because every batched kernel reduces strictly within a sample, batched
-plans also **slice per sample**: under a sample-parallel
-:class:`~repro.nn.parallel.ParallelConfig` the compiler emits one
-chain-sliced step list per sample (bound over per-sample views of shared
-full-batch external buffers, allocating from per-``(sample, chain)``
-arena regions) and execution schedules the 2-D (sample × chain) task
-graph on the shared thread pool — composing PR 2's batching with PR 4's
-chain parallelism without changing a single floating-point reduction.
-
 Compile time is budgeted: the ``_pick_faster`` autotuner drops to a single
 timed repetition once a candidate exceeds ``_PICK_BUDGET_S``, einsum
 contraction paths are cached process-wide by (subscripts, shapes), and
@@ -68,10 +59,8 @@ from repro.graph.node import CNode, TensorSpec
 from repro.graph.partitioner import Segment
 from repro.nn.executor import init_parameters
 from repro.nn.kernels import KERNELS, _PARAM_ARITY, _pair
-from repro.nn.parallel import ParallelConfig, ParallelPlanRunner, SampleParallelRunner
 
 __all__ = [
-    "ChainInfo",
     "CompiledPlan",
     "GraphPlan",
     "PlanError",
@@ -144,32 +133,25 @@ class WorkspaceArena:
     Keeping the pool tight matters beyond allocator churn: on hosts with a
     large last-level cache the whole weight set plus workspace can stay
     cache-resident across back-to-back runs of one plan.
-
-    Free pools are keyed by ``region``: under branch-parallel execution
-    each chain allocates from (and releases into) its own region, and
-    under sample-parallel batched execution regions are ``(sample, chain)``
-    pairs, so two tasks that may run concurrently can never be handed the
-    same storage.  Serial compiles use the single default region, which
-    preserves the exact buffer-sharing behaviour of earlier plans.
     """
 
     def __init__(self) -> None:
-        self._free: Dict[Tuple[Any, str], List[np.ndarray]] = {}
+        self._free: Dict[str, List[np.ndarray]] = {}
         self.allocated_bytes = 0
         self.persistent_bytes = 0
         self.buffers = 0
         self.reuses = 0
 
     def acquire(self, numel: int, dtype: Any = np.float32,
-                waste_cap: int | None = None, region: Any = 0) -> np.ndarray:
-        """Smallest adequate free buffer in ``region``, or a fresh one.
+                waste_cap: int | None = None) -> np.ndarray:
+        """Smallest adequate free buffer, or a fresh one.
 
         ``waste_cap`` refuses free buffers more than that factor larger than
         the request — long-lived tensors should not squat on big scratch
         buffers that transient consumers (im2col columns) want to share.
         """
         numel = int(numel)
-        pool = self._free.get((region, np.dtype(dtype).str), [])
+        pool = self._free.get(np.dtype(dtype).str, [])
         best = None
         for i, buf in enumerate(pool):
             if buf.size < numel:
@@ -186,8 +168,8 @@ class WorkspaceArena:
         self.allocated_bytes += buf.nbytes
         return buf
 
-    def release(self, base: np.ndarray, region: Any = 0) -> None:
-        self._free.setdefault((region, base.dtype.str), []).append(base)
+    def release(self, base: np.ndarray) -> None:
+        self._free.setdefault(base.dtype.str, []).append(base)
 
     def persistent(self, shape: Tuple[int, ...], dtype: Any = np.float32,
                    fill: float | None = None) -> np.ndarray:
@@ -211,31 +193,26 @@ class _Alloc:
     ``scratch`` buffers are returned to the pool as soon as the node is
     compiled: they are fully rewritten on every run before being read, so
     later nodes may share the same storage for their own scratch or
-    outputs without any cross-run hazard.  ``region`` is the arena region
-    (the compiling step's chain, or ``(sample, chain)`` under sample
-    slicing) every acquisition and release goes to — under parallel
-    execution only steps of the *same* region may inherit this node's
-    scratch, because another task could be running it.
+    outputs without any cross-run hazard.
     """
 
-    def __init__(self, arena: WorkspaceArena, region: Any = 0) -> None:
+    def __init__(self, arena: WorkspaceArena) -> None:
         self.arena = arena
-        self.region = region
         self._scratch: List[np.ndarray] = []
 
     def acquire(self, numel: int, dtype: Any = np.float32,
                 waste_cap: int | None = None) -> np.ndarray:
-        return self.arena.acquire(numel, dtype, waste_cap, region=self.region)
+        return self.arena.acquire(numel, dtype, waste_cap)
 
     def scratch(self, shape: Tuple[int, ...], dtype: Any = np.float32) -> np.ndarray:
         numel = int(np.prod(shape))
-        base = self.arena.acquire(numel, dtype, region=self.region)
+        base = self.arena.acquire(numel, dtype)
         self._scratch.append(base)
         return base[:numel].reshape(shape)
 
     def release_scratch(self) -> None:
         for base in self._scratch:
-            self.arena.release(base, region=self.region)
+            self.arena.release(base)
         self._scratch.clear()
 
 
@@ -250,36 +227,6 @@ class PlanStats:
     persistent_bytes: int
     buffers: int
     reuses: int
-    #: Schedulable chain tasks the plan slices into (1 = a pure pipeline).
-    #: Under sample-parallel compiles this counts (sample, chain) tasks
-    #: across every sample slice.
-    chains: int = 1
-    #: Buffers kept alive past their last use because their readers span
-    #: chains (parallel compiles only; serial compiles never pin).
-    pinned_buffers: int = 0
-    #: Independent per-sample step slices the plan compiled (1 = a single
-    #: step list over the whole batch; ``batch`` under sample-parallel).
-    sample_slices: int = 1
-
-
-@dataclass(frozen=True)
-class ChainInfo:
-    """Chain-slicing result of one plan, for inspection and property tests.
-
-    ``chain_of`` covers every compute node (aliases included, even though
-    they compile to no step); ``chains`` holds the *compiled step* names per
-    chain id, in execution order; ``chain_deps[c]`` are the chain ids that
-    must finish before chain ``c`` starts; ``roots`` maps each tensor name
-    to its storage root (aliases share their input's root).  Under sample
-    slicing this describes the **per-sample** chain DAG — every sample
-    slice shares the same structure by construction.
-    """
-
-    chains: Tuple[Tuple[str, ...], ...]
-    chain_of: Dict[str, int]
-    chain_deps: Tuple[frozenset, ...]
-    node_index: Dict[str, int]
-    roots: Dict[str, str]
 
 
 # ---------------------------------------------------------------------------
@@ -650,81 +597,33 @@ class CompiledPlan:
     ``batch`` compiles the plan for that many stacked samples: every spec's
     leading (batch) axis is scaled, and the compiled kernels keep each
     sample's floating-point reduction order identical to a ``batch=1`` run.
-
-    ``parallel`` compiles the plan for branch-parallel execution: the step
-    list is sliced into independent chains between join points (see
-    :attr:`chain_info`), buffer reuse and in-place rewrites are restricted
-    to within-chain lifetimes, and ``execute`` schedules ready chains on
-    the shared thread pool.  Outputs stay bit-identical to a serial plan:
-    the steps and their per-step reduction orders are unchanged — only the
-    interleaving across independent chains is.
-
-    With ``parallel.sample_parallel`` and ``batch > 1`` the two compose:
-    the plan compiles one chain-sliced step list **per sample**, bound over
-    per-sample views of shared full-batch external buffers, and execution
-    schedules (sample, chain) tasks on the same shared pool (see
-    :class:`~repro.nn.parallel.SampleParallelRunner`).  Each sample's
-    steps are exactly the steps a ``batch=1`` compile emits — the same
-    GEMM slab shapes, the same per-sample reduction orders — and each
-    sample allocates from its own ``(sample, chain)`` arena regions, so
-    outputs stay per-sample bit-identical to the serial batched plan and
-    to independent batch-1 runs.
     """
 
     def __init__(self, name: str, nodes: Sequence[CNode],
                  external_specs: Dict[str, TensorSpec],
                  params: Dict[str, np.ndarray],
                  result_names: Sequence[str],
-                 batch: int = 1,
-                 parallel: ParallelConfig | None = None) -> None:
+                 batch: int = 1) -> None:
         if batch < 1:
             raise PlanError(f"batch must be >= 1, got {batch}")
         self.name = name
         self.batch = batch
-        self.parallel = parallel
         self._params = params
         self._result_names = tuple(result_names)
         self._arena = WorkspaceArena()
         self._inputs: Dict[str, np.ndarray] = {}
-        self.sample_mode = False
-        #: One step list / binding / chain DAG per sample slice (a single
-        #: entry covering the whole batch unless sample-parallel kicked in).
-        self._sample_steps: List[List[Tuple[str, Callable[[], None]]]] = []
-        self._sample_bound: List[Dict[str, np.ndarray]] = []
-        self._sample_chain_fns: List[List[List[Callable[[], None]]]] = []
-        self._sample_chain_deps: List[List[Set[int]]] = []
-        #: External names each compiled chain / step reads (root-resolved,
-        #: so readers of an alias of an external gate on the external) —
-        #: the release gates of :meth:`begin_streaming`.
-        self._sample_chain_gates: List[List[Set[str]]] = []
-        self._sample_step_gates: List[List[Set[str]]] = []
-        self.chain_info: ChainInfo | None = None
+        self._bound: Dict[str, np.ndarray] = {}
+        #: ``(name, fn, gates)`` per compiled step, in execution order;
+        #: ``gates`` are the externals the step reads (root-resolved, so
+        #: readers of an alias of an external gate on the external) — what
+        #: a :class:`PlanStream` waits for before running the step.
+        self._steps: List[Tuple[str, Callable[[], None], Set[str]]] = []
         self.last_intermediates: Dict[str, np.ndarray] = {}
         # One plan instance owns one workspace: concurrent execute() calls
-        # (parallel chains racing the batching loop on a cached plan) are
-        # serialised here rather than corrupting each other's tensors.
+        # on a shared cached plan are serialised here rather than
+        # corrupting each other's tensors.
         self._exec_lock = threading.Lock()
         self._compile(list(nodes), dict(external_specs))
-        # Slice-0 aliases: the full plan when a single step list covers the
-        # whole batch, and the structural representative (every slice shares
-        # one chain DAG) under sample slicing.
-        self._bound = self._sample_bound[0]
-        self._steps = self._sample_steps[0]
-        self._chain_fns = self._sample_chain_fns[0]
-        self._chain_fn_deps = self._sample_chain_deps[0]
-        self._fns = [fn for steps in self._sample_steps for _name, fn in steps]
-        self._runner: ParallelPlanRunner | None = None
-        if parallel is not None and parallel.threads > 1:
-            total_tasks = sum(len(c) for c in self._sample_chain_fns)
-            if len(self._sample_chain_fns) > 1 and total_tasks > 1:
-                self._runner = SampleParallelRunner(
-                    self._sample_chain_fns, self._sample_chain_deps,
-                    parallel.threads,
-                )
-            elif total_tasks > 1:
-                self._runner = ParallelPlanRunner(
-                    self._chain_fns, self._chain_fn_deps, parallel.threads
-                )
 
     # -- compilation --------------------------------------------------------
 
@@ -732,33 +631,15 @@ class CompiledPlan:
         arena = self._arena
         compute = [n for n in nodes if n.op not in _SCAFFOLD_OPS]
 
-        # Sample slicing: with a sample-parallel config, batch > 1 and
-        # workers to exploit it, the plan compiles one step list per sample
-        # over per-sample views of shared full-batch external buffers
-        # (specs keep their batch=1 shapes); otherwise a single step list
-        # covers the whole batch.  threads=1 keeps the fused batched
-        # compile — per-sample kernels cost granularity overhead that only
-        # pays off when samples actually overlap.
-        sample_mode = (self.parallel is not None and self.batch > 1
-                       and self.parallel.threads > 1
-                       and self.parallel.sample_parallel)
-        self.sample_mode = sample_mode
-        slices = self.batch if sample_mode else 1
-        spec_batch = 1 if sample_mode else self.batch
-
-        full_specs = {
-            name: _batched_spec(spec, self.batch)
-            for name, spec in external_specs.items()
-        }
         external_specs = {
-            name: _batched_spec(spec, spec_batch)
+            name: _batched_spec(spec, self.batch)
             for name, spec in external_specs.items()
         }
         specs: Dict[str, TensorSpec] = dict(external_specs)
         for node in compute:
             if node.output is None:
                 raise PlanError(f"node {node.name!r} has no output spec")
-            specs[node.name] = _batched_spec(node.output, spec_batch)
+            specs[node.name] = _batched_spec(node.output, self.batch)
         for rname in self._result_names:
             if rname not in specs:
                 raise PlanError(f"result {rname!r} is not produced by plan {self.name!r}")
@@ -785,202 +666,74 @@ class CompiledPlan:
         for rname, lu in last_use.items():
             deaths.setdefault(lu, []).append(rname)
 
-        # -- chain slicing ---------------------------------------------------
-        # The step list partitions into *chains*: maximal runs where each
-        # step is the unique consumer of its unique producer.  Any step with
-        # several inputs (a join), several consumers (a fork source's
-        # successors), or external-only inputs starts a new chain.  Chains
-        # are the unit of branch-parallel scheduling; every cross-chain data
-        # edge targets the *first* step of its chain (a continuation step
-        # has, by construction, its single dependency inside its own chain),
-        # which also makes chain ids topologically ordered.
-        name_idx = {node.name: i for i, node in enumerate(compute)}
-        node_deps: List[List[int]] = [
-            sorted({name_idx[d] for d in node.inputs if d in name_idx})
-            for node in compute
-        ]
-        succ_count = [0] * len(compute)
-        for ds in node_deps:
-            for i in ds:
-                succ_count[i] += 1
-        chain_of: List[int] = []
-        n_chains = 0
-        for ds in node_deps:
-            if len(ds) == 1 and succ_count[ds[0]] == 1:
-                chain_of.append(chain_of[ds[0]])
-            else:
-                chain_of.append(n_chains)
-                n_chains += 1
-        chain_deps: List[Set[int]] = [set() for _ in range(n_chains)]
-        for j, ds in enumerate(node_deps):
-            for i in ds:
-                if chain_of[i] != chain_of[j]:
-                    chain_deps[chain_of[j]].add(chain_of[i])
-        # Steps reading each storage root (alias readers count against the
-        # root): under parallel execution a buffer may be reused or rewritten
-        # in place only when every reader lives in the reusing step's chain —
-        # a reader in a concurrently runnable chain could still be looking.
-        root_readers: Dict[str, List[int]] = {}
-        for i, node in enumerate(compute):
-            for dep in node.inputs:
-                root_readers.setdefault(root[dep], []).append(i)
-
-        restricted = self.parallel is not None
-        pinned_buffers = 0
-
-        def same_chain_readers(rname: str, c: int) -> bool:
-            return all(chain_of[r] == c for r in root_readers.get(rname, ()))
-
         # Seed the pool with one scratch buffer sized for the largest im2col
         # column matrix in the plan, so every conv shares it instead of each
         # first-encountered geometry pinning its own.  Smaller is better: on
         # hosts with a large last-level cache the weights plus a tight
         # workspace can stay cache-resident across back-to-back runs.
-        # (Serial plans only: concurrent chains must not share conv scratch.)
-        if not restricted:
-            max_cols = 0
-            for node in compute:
-                if node.op in ("conv2d", "fused_conv2d") and node.output is not None:
-                    in_spec = specs.get(node.inputs[0])
-                    if in_spec is None:
-                        continue
-                    kh, kw = _pair(node.attrs["kernel"])
-                    _, _, ho, wo = node.output.shape
-                    n = in_spec.shape[0]
-                    max_cols = max(max_cols, n * in_spec.shape[1] * kh * kw * ho * wo)
-            if max_cols:
-                arena.release(arena.acquire(max_cols, np.float32))
+        max_cols = 0
+        for node in compute:
+            if node.op in ("conv2d", "fused_conv2d") and node.output is not None:
+                in_spec = specs.get(node.inputs[0])
+                if in_spec is None:
+                    continue
+                kh, kw = _pair(node.attrs["kernel"])
+                _, _, ho, wo = node.output.shape
+                n = in_spec.shape[0]
+                max_cols = max(max_cols, n * in_spec.shape[1] * kh * kw * ho * wo)
+        if max_cols:
+            arena.release(arena.acquire(max_cols, np.float32))
 
-        # External buffers are allocated once at full batch size and shared
-        # by every sample slice (slice ``s`` binds the contiguous view of
-        # its own samples).  Under sample slicing they are never released
-        # and never stolen — another slice's steps still read them.
-        ext_full: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        for ext, spec in full_specs.items():
+        bound = self._bound
+        owner: Dict[str, np.ndarray] = {}
+        for ext, spec in external_specs.items():
             base = arena.acquire(spec.numel, _NUMPY_DTYPES[spec.dtype], waste_cap=4)
-            view = base[:spec.numel].reshape(spec.shape)
-            ext_full[ext] = (view, base)
-            self._inputs[ext] = view
+            bound[ext] = self._inputs[ext] = base[:spec.numel].reshape(spec.shape)
+            owner[ext] = base
 
-        chain_step_names: List[List[str]] = [[] for _ in range(n_chains)]
         inplace_steps = 0
         alias_steps = 0
-        for s in range(slices):
-            bound: Dict[str, np.ndarray] = {}
-            owner: Dict[str, np.ndarray] = {}
-            for ext, spec in external_specs.items():
-                view, base = ext_full[ext]
-                if sample_mode:
-                    s0 = spec.shape[0]
-                    bound[ext] = view[s * s0:(s + 1) * s0]
-                else:
-                    bound[ext] = view
-                    owner[ext] = base
-            chain_fns: List[List[Callable[[], None]]] = [[] for _ in range(n_chains)]
-            chain_gates: List[Set[str]] = [set() for _ in range(n_chains)]
-            steps: List[Tuple[str, Callable[[], None]]] = []
-            step_gates: List[Set[str]] = []
-            for idx, node in enumerate(compute):
-                xs = [bound[dep] for dep in node.inputs]
-                param_arrays = [self._params[p.name] for p in node.params]
-                out_spec = specs[node.name]
-                if not restricted:
-                    region: Any = 0
-                elif sample_mode:
-                    region = (s, chain_of[idx])
-                else:
-                    region = chain_of[idx]
-                alloc = _Alloc(arena, region=region)
-                steal_ok = not restricted or same_chain_readers(
-                    root[node.inputs[0]], chain_of[idx]
-                ) if node.inputs else True
+        for idx, node in enumerate(compute):
+            xs = [bound[dep] for dep in node.inputs]
+            param_arrays = [self._params[p.name] for p in node.params]
+            if node.op in _ALIAS_OPS and (node.op == "dropout" or xs[0].flags.c_contiguous):
+                bound[node.name] = xs[0] if node.op == "dropout" else xs[0].reshape(
+                    xs[0].shape[0], -1
+                )
+                alias_steps += 1
+            else:
+                alloc = _Alloc(arena)
+                fn, out_view, out_base, inplace = self._compile_step(
+                    node, xs, param_arrays, specs[node.name], alloc, root, last_use,
+                    idx, owner,
+                )
+                alloc.release_scratch()
+                bound[node.name] = out_view
+                owner[node.name] = out_base
+                if inplace:
+                    inplace_steps += 1
+                gates = {root[dep] for dep in node.inputs if root[dep] in self._inputs}
+                self._steps.append((node.name, fn, gates))
 
-                if node.op in _ALIAS_OPS and (node.op == "dropout" or xs[0].flags.c_contiguous):
-                    bound[node.name] = xs[0] if node.op == "dropout" else xs[0].reshape(
-                        xs[0].shape[0], -1
-                    )
-                    alias_steps += 1
-                else:
-                    fn, out_view, out_base, inplace = self._compile_step(
-                        node, xs, param_arrays, out_spec, alloc, root, last_use, idx,
-                        owner, steal_ok,
-                    )
-                    alloc.release_scratch()
-                    bound[node.name] = out_view
-                    owner[node.name] = out_base
-                    if inplace:
-                        inplace_steps += 1
-                    steps.append((node.name, fn))
-                    chain_fns[chain_of[idx]].append(fn)
-                    gates = {root[dep] for dep in node.inputs if root[dep] in ext_full}
-                    step_gates.append(gates)
-                    chain_gates[chain_of[idx]] |= gates
-                    if s == 0:
-                        chain_step_names[chain_of[idx]].append(node.name)
+            for rname in deaths.get(idx, ()):
+                base = owner.pop(rname, None)
+                if base is not None:
+                    arena.release(base)
 
-                for rname in deaths.get(idx, ()):
-                    base = owner.pop(rname, None)
-                    if base is None:
-                        continue
-                    if not restricted:
-                        arena.release(base)
-                    elif same_chain_readers(rname, chain_of[idx]):
-                        # Safe reuse: every reader runs serially before any
-                        # later step of this slice's chain; no other chain
-                        # (and no other sample) can still be reading.
-                        arena.release(base, region=region)
-                    else:
-                        pinned_buffers += 1  # readers span chains: keep it alive
-
-            # Prune alias-only chains (they compile to no steps), folding
-            # their dependencies into their successors so the chain DAG
-            # stays closed.  Chain ids are topologically ordered, so one
-            # forward pass suffices.  (Identical per slice by construction.)
-            folded: List[Set[int]] = []
-            for c in range(n_chains):
-                deps_c: Set[int] = set()
-                for d in chain_deps[c]:
-                    if chain_fns[d]:
-                        deps_c.add(d)
-                    else:
-                        deps_c |= folded[d]
-                folded.append(deps_c)
-            remap: Dict[int, int] = {}
-            for c in range(n_chains):
-                if chain_fns[c]:
-                    remap[c] = len(remap)
-            self._sample_chain_fns.append([chain_fns[c] for c in remap])
-            self._sample_chain_deps.append(
-                [{remap[d] for d in folded[c]} for c in remap])
-            self._sample_chain_gates.append([chain_gates[c] for c in remap])
-            self._sample_steps.append(steps)
-            self._sample_step_gates.append(step_gates)
-            self._sample_bound.append(bound)
-
-        self.chain_info = ChainInfo(
-            chains=tuple(tuple(names) for names in chain_step_names),
-            chain_of={node.name: chain_of[i] for i, node in enumerate(compute)},
-            chain_deps=tuple(frozenset(d) for d in chain_deps),
-            node_index=dict(name_idx),
-            roots=dict(root),
-        )
         self.stats = PlanStats(
-            steps=sum(len(steps) for steps in self._sample_steps),
+            steps=len(self._steps),
             inplace_steps=inplace_steps,
             alias_steps=alias_steps,
             arena_bytes=arena.allocated_bytes,
             persistent_bytes=arena.persistent_bytes,
             buffers=arena.buffers,
             reuses=arena.reuses,
-            chains=sum(len(c) for c in self._sample_chain_fns),
-            pinned_buffers=pinned_buffers,
-            sample_slices=slices,
         )
 
     def _compile_step(self, node: CNode, xs: List[np.ndarray],
                       param_arrays: List[np.ndarray], out_spec: TensorSpec,
                       alloc: _Alloc, root: Dict[str, str], last_use: Dict[str, int],
-                      idx: int, owner: Dict[str, np.ndarray], steal_ok: bool = True,
+                      idx: int, owner: Dict[str, np.ndarray],
                       ) -> Tuple[Callable[[], None], np.ndarray, np.ndarray, bool]:
         op = node.op
         attrs = node.attrs
@@ -995,13 +748,11 @@ class CompiledPlan:
                     attrs.get("epilogue", ()), param_arrays[1:], out_view))
             return fn, out_view, out_base, False
 
-        # Steal the dying first input's buffer for elementwise ops.  Under
-        # parallel compilation the steal is additionally gated on every
-        # reader of that buffer living in this step's chain (steal_ok).
+        # Steal the dying first input's buffer for elementwise ops.
         inplace = False
         out_view: np.ndarray | None = None
         out_base: np.ndarray | None = None
-        if op in _INPLACE_OPS and steal_ok:
+        if op in _INPLACE_OPS:
             d0 = node.inputs[0]
             r0 = root[d0]
             cand = xs[0]
@@ -1068,59 +819,28 @@ class CompiledPlan:
 
     # -- execution ----------------------------------------------------------
 
+    def _results(self) -> Dict[str, np.ndarray]:
+        return {name: self._bound[name].copy() for name in self._result_names}
+
     def execute(self, externals: Dict[str, np.ndarray],
                 keep: Iterable[str] = ()) -> Dict[str, np.ndarray]:
         """Run the compiled steps; returns copies of the result tensors.
 
         Results are copied out of the workspace so they stay valid across
         subsequent runs of the same plan.  A plan owns one workspace, so
-        concurrent ``execute`` calls on the same plan serialize on a lock;
-        inside one call, independent chains run on the shared thread pool
-        when the plan was compiled with ``parallel.threads > 1``.
+        concurrent ``execute`` calls on the same plan serialize on a lock.
         """
         with self._exec_lock:
             for name, buf in self._inputs.items():
                 np.copyto(buf, externals[name])
             keep_set = set(keep)
             self.last_intermediates = {}
-            if keep_set:
-                # keep= is a debug/inspection path: run serially so captured
-                # intermediates snapshot at well-defined points.  Sample
-                # slices run in sample order and kept tensors are stacked
-                # back into full-batch arrays.
-                if self.sample_mode:
-                    # Snapshot kept tensors right after their producing step
-                    # — the arena reuses their storage later in the slice.
-                    kept: Dict[str, list] = {name: [] for name in keep_set}
-                    for bound, steps in zip(self._sample_bound,
-                                            self._sample_steps):
-                        for name, fn in steps:
-                            fn()
-                            if name in keep_set:
-                                kept[name].append(bound[name].copy())
-                    for name, parts in kept.items():
-                        if parts:
-                            self.last_intermediates[name] = np.concatenate(
-                                parts, axis=0)
-                else:
-                    for name, fn in self._sample_steps[0]:
-                        fn()
-                        if name in keep_set:
-                            self.last_intermediates[name] = self._bound[name].copy()
-            elif self._runner is not None:
-                self._runner.run()
-            else:
-                for fn in self._fns:
-                    fn()
-            if self.sample_mode:
-                # Stitch per-sample result views back into one batched array
-                # (concatenate copies, so results stay valid across runs).
-                return {
-                    name: np.concatenate(
-                        [b[name] for b in self._sample_bound], axis=0)
-                    for name in self._result_names
-                }
-            return {name: self._bound[name].copy() for name in self._result_names}
+            for name, fn, _gates in self._steps:
+                fn()
+                if name in keep_set:
+                    # Snapshot now: the arena reuses this storage later.
+                    self.last_intermediates[name] = self._bound[name].copy()
+            return self._results()
 
     def begin_streaming(self) -> "PlanStream":
         """Begin an incremental run: feed externals as they arrive.
@@ -1136,14 +856,10 @@ class CompiledPlan:
 class PlanStream:
     """One in-flight streaming execution of a :class:`CompiledPlan`.
 
-    Under a parallel compile the plan's chain DAG runs as a
-    :class:`~repro.nn.parallel.GatedRun`: each chain is gated on the
-    externals its steps read (root-resolved through aliases) and released
-    as they are fed, so ready chains overlap with the arrival of later
-    tensors.  Serial plans advance an in-order step cursor instead,
-    stalling at the first step whose externals are not all fed — wire
-    order is first-consumer order, so in practice the cursor chases the
-    feed.  Either way the steps and their within-chain order are exactly
+    An in-order step cursor advances as externals are fed, stalling at the
+    first step whose externals (root-resolved through aliases) are not all
+    fed — wire order is first-consumer order, so in practice the cursor
+    chases the feed.  The steps and their order are exactly
     :meth:`CompiledPlan.execute`'s, so results are bit-identical to a
     monolithic run with the same externals.
 
@@ -1156,22 +872,10 @@ class PlanStream:
     def __init__(self, plan: CompiledPlan) -> None:
         self._plan = plan
         self._pending: Set[str] = set(plan._inputs)
-        self._fed: Set[str] = set()
         self._finished = False
+        self._cursor = 0
         plan._exec_lock.acquire()
         plan.last_intermediates = {}
-        self._gated = None
-        self._serial: List[Tuple[Callable[[], None], Set[str]]] | None = None
-        self._cursor = 0
-        if plan._runner is not None:
-            gates = [g for per in plan._sample_chain_gates for g in per]
-            self._gated = plan._runner.begin(gates)
-        else:
-            self._serial = [
-                (fn, gates)
-                for steps, sgates in zip(plan._sample_steps, plan._sample_step_gates)
-                for (_name, fn), gates in zip(steps, sgates)
-            ]
 
     def feed(self, name: str, array: np.ndarray) -> None:
         """Deliver one external tensor; runs every step it unblocks."""
@@ -1186,23 +890,19 @@ class PlanStream:
             )
         np.copyto(buf, array)
         self._pending.discard(name)
-        self._fed.add(name)
-        if self._gated is not None:
-            self._gated.release(name)
-        else:
-            self._advance()
+        self._advance()
 
     def _advance(self) -> None:
-        serial = self._serial
-        while self._cursor < len(serial):
-            fn, gates = serial[self._cursor]
-            if gates - self._fed:
+        steps = self._plan._steps
+        while self._cursor < len(steps):
+            _name, fn, gates = steps[self._cursor]
+            if gates & self._pending:
                 return
             fn()
             self._cursor += 1
 
     def finish(self) -> Dict[str, np.ndarray]:
-        """Wait for the remaining steps; returns copies of the results."""
+        """Run the remaining steps; returns copies of the results."""
         if self._finished:
             raise RuntimeError("stream already finished")
         self._finished = True
@@ -1210,42 +910,20 @@ class PlanStream:
             if self._pending:
                 raise ValueError(
                     f"stream missing externals {sorted(self._pending)}")
-            if self._gated is not None:
-                self._gated.finish()
-            else:
-                self._advance()
-            plan = self._plan
-            if plan.sample_mode:
-                return {
-                    name: np.concatenate(
-                        [b[name] for b in plan._sample_bound], axis=0)
-                    for name in plan._result_names
-                }
-            return {name: plan._bound[name].copy() for name in plan._result_names}
+            self._advance()
+            return self._plan._results()
         finally:
             self._plan._exec_lock.release()
 
     def abort(self) -> None:
         """Abandon the stream (transport failure) and release the plan.
 
-        Gated tasks are released with whatever (stale) bytes the unfed
-        buffers hold and the DAG drained — harmless garbage arithmetic —
-        because in-flight chains must not still be writing the workspace
-        once the lock is handed back.  Idempotent; safe after ``finish``.
+        Idempotent; safe after ``finish``.
         """
         if self._finished:
             return
         self._finished = True
-        try:
-            if self._gated is not None:
-                for name in list(self._pending):
-                    self._gated.release(name)
-                try:
-                    self._gated.finish()
-                except BaseException:
-                    pass
-        finally:
-            self._plan._exec_lock.release()
+        self._plan._exec_lock.release()
 
 
 class GraphPlan:
@@ -1258,7 +936,7 @@ class GraphPlan:
 
     def __init__(self, graph: ComputationGraph, seed: int = 0,
                  params: Dict[str, np.ndarray] | None = None,
-                 batch: int = 1, parallel: ParallelConfig | None = None) -> None:
+                 batch: int = 1) -> None:
         graph.validate()
         self._graph = graph
         order = graph.topological_order()
@@ -1271,7 +949,6 @@ class GraphPlan:
             params=self._params,
             result_names=(graph.output_name,),
             batch=batch,
-            parallel=parallel,
         )
         self._expected = _batched_spec(graph.input_spec, batch).shape
         self.last_intermediates: Dict[str, np.ndarray] = {}
@@ -1287,10 +964,6 @@ class GraphPlan:
     @property
     def batch(self) -> int:
         return self._core.batch
-
-    @property
-    def chain_info(self) -> ChainInfo | None:
-        return self._core.chain_info
 
     def run(self, x: np.ndarray, keep: Iterable[str] = ()) -> np.ndarray:
         if tuple(x.shape) != self._expected:
@@ -1309,7 +982,7 @@ class SegmentPlan:
 
     def __init__(self, segment: Segment, seed: int = 0,
                  params: Dict[str, np.ndarray] | None = None,
-                 batch: int = 1, parallel: ParallelConfig | None = None) -> None:
+                 batch: int = 1) -> None:
         self._segment = segment
         self._params = params if params is not None else init_parameters(segment.nodes, seed)
         self._core = CompiledPlan(
@@ -1319,7 +992,6 @@ class SegmentPlan:
             params=self._params,
             result_names=segment.result_names,
             batch=batch,
-            parallel=parallel,
         )
         self._expected = {
             name: _batched_spec(spec, batch).shape
@@ -1337,10 +1009,6 @@ class SegmentPlan:
     @property
     def batch(self) -> int:
         return self._core.batch
-
-    @property
-    def chain_info(self) -> ChainInfo | None:
-        return self._core.chain_info
 
     def begin_streaming(self) -> PlanStream:
         """Feed boundary tensors one at a time as they arrive off the wire.

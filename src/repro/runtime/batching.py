@@ -21,12 +21,6 @@ keep the paper's load-feedback loop honest:
 - **Busy time is counted once.**  The GPU runs the batch once, so
   :class:`~repro.runtime.multi.SharedLoadTracker` records the batch
   execution time once per flush, not once per request.
-
-Batching composes with parallel plan execution: when the system carries a
-:class:`~repro.nn.parallel.ParallelConfig`, the server's batched tail
-plans compile per-sample step slices and the flush executes them as 2-D
-(sample × chain) tasks on the shared pool — per-sample outputs stay
-bit-identical either way, so the composition is invisible to clients.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from typing import Dict, Protocol, Tuple
 
 import numpy as np
 
-from repro.core.cache import PartitionCache
+from repro.core.cache import CompileOnceCache, PartitionCache
 from repro.core.engine import JointDecision, LoADPartEngine
 from repro.core.partition_algorithm import PartitionDecision
 from repro.graph.partitioner import GraphPartitioner, PartitionedGraph
@@ -34,7 +34,6 @@ from repro.network.channel import Channel, StreamResult
 from repro.network.estimator import BandwidthEstimator
 from repro.network.streaming import StreamingConfig
 from repro.nn.executor import SegmentExecutor, _check_backend, init_parameters
-from repro.nn.parallel import CompileOnceCache, ParallelConfig
 from repro.runtime.messages import BusyReply, InferenceRecord, OffloadReply
 from repro.runtime.resilience import CircuitBreaker, ResilienceConfig
 from repro.runtime.server import PARTITION_OVERHEAD_S, EdgeServer
@@ -117,7 +116,6 @@ class UserDevice:
         functional: bool = False,
         model_seed: int = 0,
         resilience: ResilienceConfig | None = None,
-        parallelism: ParallelConfig | None = None,
         streaming: StreamingConfig | None = None,
         sla_s: float | None = None,
     ) -> None:
@@ -160,7 +158,6 @@ class UserDevice:
         self._request_seq = 0
         self.backend = _check_backend(backend)
         self.functional = functional
-        self.parallelism = parallelism
         self._model_seed = model_seed
         self._model_params: Dict[str, np.ndarray] | None = None
         self._head_executors: CompileOnceCache = CompileOnceCache()
@@ -326,8 +323,7 @@ class UserDevice:
             params = self._params_for(exit_index)
             executor = self._head_executors.get_or_create(
                 key, lambda: SegmentExecutor(
-                    partitioned.head, params=params,
-                    backend=self.backend, parallelism=self.parallelism,
+                    partitioned.head, params=params, backend=self.backend,
                 )
             )
             boundary = {name: x for name in partitioned.head.boundary_inputs}

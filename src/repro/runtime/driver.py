@@ -133,9 +133,7 @@ class Driver:
     # All requests of a flush share one batched tail execution and finish
     # together; queueing delay lands in each record's ``server_s``, so a
     # client's next request is scheduled exactly as under immediate
-    # execution.  Under ``SystemConfig(parallelism=...)`` the shared
-    # execution schedules per-sample slices concurrently (2-D sample ×
-    # chain), which changes wall-clock cost only.
+    # execution.
 
     def _begin(self, i: int) -> None:
         loop, client = self.loop, self.clients[i]

@@ -22,7 +22,7 @@ from typing import Deque, Dict, List, Sequence
 
 import numpy as np
 
-from repro.core.cache import PartitionCache
+from repro.core.cache import CompileOnceCache, PartitionCache
 from repro.core.engine import LoADPartEngine
 from repro.core.load_factor import GpuWatchdog, LoadFactorMonitor
 from repro.graph.partitioner import GraphPartitioner
@@ -37,7 +37,6 @@ from repro.nn.executor import (
     graph_signature,
     init_parameters,
 )
-from repro.nn.parallel import CompileOnceCache, ParallelConfig
 from repro.runtime.batching import BatchingConfig, PendingRequest
 from repro.runtime.messages import BusyReply, LoadReply, OffloadReply
 
@@ -64,7 +63,6 @@ class EdgeServer:
         functional: bool = False,
         model_seed: int = 0,
         fault_plan: ServerFaultPlan | None = None,
-        parallelism: ParallelConfig | None = None,
         server_id: int = 0,
         profile=None,
     ) -> None:
@@ -91,15 +89,13 @@ class EdgeServer:
         self._admitted: Deque[float] = deque()
         self.backend = _check_backend(backend)
         self.functional = functional
-        self.parallelism = parallelism
         self._model_seed = model_seed
         self._model_params: Dict[str, np.ndarray] | None = None
         self._model_params_lock = threading.Lock()
         # Compiled tail executors keyed by (graph signature, partition
         # point, batch size): plans compile once and are reused across
-        # requests and across the batching ladder's rungs.  The cache is
-        # raced by parallel chains and the batching event loop, so it is a
-        # build-once cache: one compile per key, all racers share it.
+        # requests and across the batching ladder's rungs.  Threads that
+        # share this server and ask for one key at once get one compile.
         self._graph_sig = graph_signature(engine.graph)
         self._tail_executors: CompileOnceCache = CompileOnceCache()
         # Early-exit state, all lazy: per-exit partition caches, graph
@@ -181,7 +177,7 @@ class EdgeServer:
         params = self._params_for(exit_index)
         return self._tail_executors.get_or_create(key, lambda: SegmentExecutor(
             cache.get(point).tail, params=params,
-            backend=self.backend, batch=batch, parallelism=self.parallelism,
+            backend=self.backend, batch=batch,
         ))
 
     @staticmethod
@@ -214,11 +210,6 @@ class EdgeServer:
         axis and zero-padded up to ``padded``; per-request output slices
         keep their leading batch-1 axis, so each reply looks exactly like a
         solo :meth:`_execute_tail` result.
-
-        With a :class:`~repro.nn.parallel.ParallelConfig` the cached
-        batched tail plan compiles per-sample step slices and this call
-        runs them as 2-D (sample × chain) tasks on the shared pool —
-        per-sample bit-identity makes that invisible in the replies.
         """
         partitioned = self._cache_for(exit_index).get(point)
         if partitioned.tail.is_empty:

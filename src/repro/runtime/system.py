@@ -24,7 +24,6 @@ from repro.network.faults import FaultPlan, FaultyChannel, ServerFaultPlan
 from repro.network.traces import BandwidthTrace, ConstantTrace
 from repro.network.streaming import StreamingConfig
 from repro.nn.executor import BACKENDS
-from repro.nn.parallel import ParallelConfig
 from repro.runtime.batching import BatchingConfig
 from repro.runtime.client import UserDevice
 from repro.runtime.driver import Driver
@@ -59,11 +58,6 @@ class SystemConfig:
     #: Opt-in resilient client (deadlines, retries, circuit breaker,
     #: local fallback).  None keeps the paper's trusting offload path.
     resilience: ResilienceConfig | None = None
-    #: Opt-in parallel plan execution (planned backend only): independent
-    #: DAG chains — and, for batched plans, per-sample slices — run as
-    #: (sample × chain) tasks on a shared thread pool, bit-identical to
-    #: serial execution.  None keeps plans serial.
-    parallelism: ParallelConfig | None = None
     #: Opt-in streaming pipelined transport: chunked uploads, codec-aware
     #: joint (point, codec, chunking) decisions, arrival-gated tail
     #: execution on the server.  None keeps the monolithic fp32 upload.
@@ -82,14 +76,6 @@ class SystemConfig:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.parallelism is not None:
-            if not isinstance(self.parallelism, ParallelConfig):
-                raise ValueError("parallelism must be a ParallelConfig or None")
-            if self.backend != "planned":
-                raise ValueError(
-                    "parallelism requires backend='planned' "
-                    f"(got backend={self.backend!r})"
-                )
         if self.batching is not None and not isinstance(self.batching, BatchingConfig):
             raise ValueError("batching must be a BatchingConfig or None")
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
@@ -253,7 +239,6 @@ def build_server(cls, engine: LoADPartEngine, config: SystemConfig,
         backend=config.backend,
         functional=config.functional,
         model_seed=config.seed,
-        parallelism=config.parallelism,
         server_id=index,
         **kwargs,
     )
@@ -281,7 +266,6 @@ def build_client(cls, engine: LoADPartEngine, config: SystemConfig,
         functional=config.functional,
         model_seed=config.seed,
         resilience=config.resilience,
-        parallelism=config.parallelism,
         streaming=config.streaming,
         sla_s=sla_classes[index % len(sla_classes)] if sla_classes else None,
         **kwargs,

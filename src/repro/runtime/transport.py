@@ -13,14 +13,17 @@ from ``examples/distributed_sockets.py``:
   chunks; the server decodes each crossing tensor as soon as its bytes are
   complete and feeds it into the tail plan's
   :meth:`~repro.nn.plan.SegmentPlan.begin_streaming` stream, so tail
-  chains start while later tensors are still on the wire (the real-world
+  steps run while later tensors are still on the wire (the real-world
   counterpart of the engine's release-schedule pipelining).
 
 Both endpoints build identical weights from the shared model definition
 and seed, so no parameters cross the wire.  The server compiles one
 :class:`~repro.nn.plan.SegmentPlan` per partition point through a
-:class:`~repro.nn.parallel.CompileOnceCache` and serves requests
-sequentially per connection.
+:class:`~repro.core.cache.CompileOnceCache` and serves requests
+sequentially per connection.  Connections share the plans: a request
+holds its point's :class:`asyncio.Lock` while it uses the plan, so a
+second request for that point waits on the event loop, which keeps
+reading every connection's frames meanwhile.
 """
 
 from __future__ import annotations
@@ -29,18 +32,19 @@ import asyncio
 import json
 import struct
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.cache import CompileOnceCache
 from repro.graph.partitioner import GraphPartitioner
 from repro.models import build_model
 from repro.network.channel import TransferResult
 from repro.network.codec import EncodedTensor, TensorCodec, decode_any
 from repro.network.streaming import plan_chunks
 from repro.nn.executor import GraphExecutor
-from repro.nn.parallel import CompileOnceCache, ParallelConfig
 from repro.nn.plan import SegmentPlan
 
 __all__ = [
@@ -130,23 +134,24 @@ class TransportServer:
     """Serves partition tails over TCP, monolithic or streamed."""
 
     def __init__(self, model: str, seed: int = 0,
-                 parallelism: ParallelConfig | None = None,
                  host: str = "127.0.0.1", port: int = 0) -> None:
         self.graph = build_model(model)
         self.params = GraphExecutor(self.graph, seed=seed).params
         self.partitioner = GraphPartitioner(self.graph)
-        self.parallelism = parallelism
         self.host = host
         self.port = port
         self._plans = CompileOnceCache()
+        # Held by a request for as long as it uses its point's tail plan.
+        # Waiting here yields to the event loop; blocking on the plan's own
+        # lock would stall every connection, the holder's frames included.
+        self._plan_locks: Dict[int, asyncio.Lock] = defaultdict(asyncio.Lock)
         self._server: asyncio.AbstractServer | None = None
         self._closed = asyncio.Event()
 
     def _tail_plan(self, point: int) -> SegmentPlan:
         def build() -> SegmentPlan:
             part = self.partitioner.partition(point)
-            return SegmentPlan(part.tail, params=self.params,
-                               parallel=self.parallelism)
+            return SegmentPlan(part.tail, params=self.params)
         return self._plans.get_or_create(point, build)
 
     async def start(self) -> Tuple[str, int]:
@@ -176,7 +181,7 @@ class TransportServer:
                     break
                 try:
                     if op == "offload":
-                        reply, body = self._offload(header, payload)
+                        reply, body = await self._offload(header, payload)
                     elif op == "begin":
                         reply, body = await self._streamed(header, reader)
                     else:
@@ -207,10 +212,11 @@ class TransportServer:
             "tail_s": done - t_last_byte,
         }, out.tobytes()
 
-    def _offload(self, header: dict, payload: bytes) -> Tuple[dict, bytes]:
+    async def _offload(self, header: dict, payload: bytes) -> Tuple[dict, bytes]:
         """Monolithic request: the whole payload precedes any execution."""
         t0 = time.perf_counter()
-        plan = self._tail_plan(int(header["point"]))
+        point = int(header["point"])
+        plan = self._tail_plan(point)
         boundary: Dict[str, np.ndarray] = {}
         cursor = 0
         for meta in header["tensors"]:
@@ -218,7 +224,8 @@ class TransportServer:
             boundary[meta["name"]] = _meta_tensor(
                 meta, payload[cursor:cursor + nbytes])
             cursor += nbytes
-        results = plan.run(boundary)
+        async with self._plan_locks[point]:
+            results = plan.run(boundary)
         return self._reply(header, results[self.graph.output_name], t0, t0)
 
     async def _streamed(self, header: dict, reader: asyncio.StreamReader,
@@ -231,41 +238,45 @@ class TransportServer:
         """
         t0 = time.perf_counter()
         request_id = header.get("request_id")
-        stream = None
         ended = False
         t_last = t0
         try:
-            plan = self._tail_plan(int(header["point"]))
+            point = int(header["point"])
+            plan = self._tail_plan(point)
             metas: List[dict] = list(header["tensors"])
             ends = list(np.cumsum([int(m["nbytes"]) for m in metas]))
-            stream = plan.begin_streaming()
-            buf = bytearray()
-            next_tensor = 0
-            while True:
-                chunk_header, chunk = await recv_frame(reader)
-                cop = chunk_header.get("op")
-                ended = cop == "end"
-                if chunk_header.get("request_id") != request_id:
-                    raise ValueError("interleaved request ids on one stream")
-                if cop == "chunk":
-                    buf.extend(chunk)
-                    t_last = time.perf_counter()
-                    while next_tensor < len(metas) and ends[next_tensor] <= len(buf):
-                        meta = metas[next_tensor]
-                        start = ends[next_tensor] - int(meta["nbytes"])
-                        stream.feed(meta["name"], _meta_tensor(
-                            meta, bytes(buf[start:ends[next_tensor]])))
-                        next_tensor += 1
-                elif ended:
-                    break
-                else:
-                    raise ValueError(f"unexpected op {cop!r} mid-stream")
-            if next_tensor < len(metas):
-                raise ValueError("stream ended before all tensors arrived")
-            results = stream.finish()
+            async with self._plan_locks[point]:
+                stream = plan.begin_streaming()
+                try:
+                    buf = bytearray()
+                    next_tensor = 0
+                    while True:
+                        chunk_header, chunk = await recv_frame(reader)
+                        cop = chunk_header.get("op")
+                        ended = cop == "end"
+                        if chunk_header.get("request_id") != request_id:
+                            raise ValueError("interleaved request ids on one stream")
+                        if cop == "chunk":
+                            buf.extend(chunk)
+                            t_last = time.perf_counter()
+                            while (next_tensor < len(metas)
+                                   and ends[next_tensor] <= len(buf)):
+                                meta = metas[next_tensor]
+                                start = ends[next_tensor] - int(meta["nbytes"])
+                                stream.feed(meta["name"], _meta_tensor(
+                                    meta, bytes(buf[start:ends[next_tensor]])))
+                                next_tensor += 1
+                        elif ended:
+                            break
+                        else:
+                            raise ValueError(f"unexpected op {cop!r} mid-stream")
+                    if next_tensor < len(metas):
+                        raise ValueError("stream ended before all tensors arrived")
+                    results = stream.finish()
+                except BaseException:
+                    stream.abort()
+                    raise
         except BaseException as exc:
-            if stream is not None:
-                stream.abort()
             if not ended and isinstance(exc, Exception) and not isinstance(
                     exc, (asyncio.IncompleteReadError, ConnectionError)):
                 # Skip the failed request's remaining frames.
@@ -385,7 +396,6 @@ class TransportClient:
 
 
 def run_server(model: str, seed: int, port: int, ready=None,
-               parallelism: ParallelConfig | None = None,
                host: str = "127.0.0.1") -> None:
     """Blocking entry point for a server process (``multiprocessing`` target).
 
@@ -393,8 +403,7 @@ def run_server(model: str, seed: int, port: int, ready=None,
     is listening; the server exits after a client sends ``shutdown``.
     """
     async def main() -> None:
-        server = TransportServer(model, seed=seed, parallelism=parallelism,
-                                 host=host, port=port)
+        server = TransportServer(model, seed=seed, host=host, port=port)
         await server.start()
         if ready is not None:
             ready.set()

@@ -2,8 +2,9 @@
 
 The harness (``ZOO``, ``sample_inputs``, ``assert_per_sample_bit_identical``)
 was factored out of the batched-plan tests so every differential sweep —
-batched, parallel, future backends — asserts the same contract: a planned
-run must equal independent naive batch-1 runs **bit for bit**, per sample.
+batched plans, exit heads, future backends — asserts the same contract: a
+planned run must equal independent naive batch-1 runs **bit for bit**, per
+sample.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import pytest
 FAST_MODELS = ("alexnet", "squeezenet", "mobilenet_v1", "mobilenet_v2", "resnet18")
 SLOW_MODELS = ("vgg16", "resnet50", "resnet101", "resnet152", "inception_v3", "xception")
 
-#: The seven-model differential sweep of the parallel test layer: the
-#: benchmark families — serial backbones (alexnet, vgg16, mobilenet_v1)
-#: plus every branchy family (fire, residual, inception, xception flows).
+#: The seven-model partitioned-segment sweep: serial backbones (alexnet,
+#: vgg16, mobilenet_v1) plus every branchy family (fire, residual,
+#: inception, xception flows).
 SWEEP_FAST = ("alexnet", "squeezenet", "mobilenet_v1", "resnet18")
 SWEEP_SLOW = ("vgg16", "inception_v3", "xception")
 
@@ -50,11 +51,7 @@ def naive_reference(graph, params):
 
 def assert_per_sample_bit_identical(graph, executor, batch, *, reference=None,
                                     seed=42):
-    """``executor``'s stacked ``batch`` run == independent naive runs.
-
-    Returns the stacked output so callers can chain further comparisons
-    (e.g. parallel output == this serial output, byte for byte).
-    """
+    """``executor``'s stacked ``batch`` run == independent naive runs."""
     naive = reference if reference is not None else naive_reference(
         graph, executor.params)
     xs = sample_inputs(graph, batch, seed)
@@ -62,7 +59,6 @@ def assert_per_sample_bit_identical(graph, executor, batch, *, reference=None,
     assert out.dtype == np.float32
     for i, x in enumerate(xs):
         assert np.array_equal(out[i:i + 1], naive.run(x)), f"sample {i} differs"
-    return out
 
 
 def sampled_points(graph, count=2):

@@ -19,7 +19,13 @@ from repro.nn.plan import GraphPlan, PlanError
 from repro.runtime.batching import BatchingConfig, DynamicBatcher, PendingRequest
 from repro.runtime.multi import FleetResult, MultiClientSystem
 from repro.runtime.system import OffloadingSystem, SystemConfig, Timeline
-from tests.helpers import ZOO, assert_per_sample_bit_identical, sample_inputs
+from tests.helpers import (
+    SWEEP_ZOO,
+    ZOO,
+    assert_per_sample_bit_identical,
+    sample_inputs,
+    sampled_points,
+)
 
 BATCH = 3
 
@@ -60,6 +66,39 @@ class TestBatchedSegments:
             ref = naive.run({name: draws[i] for name, draws in per_sample})
             for name, value in ref.items():
                 assert np.array_equal(out[name][i:i + 1], value)
+
+    @pytest.mark.parametrize("model_name", SWEEP_ZOO)
+    def test_zoo_batched_tails_match_naive(self, model_name):
+        """Batch-4 tails at sampled partition points — the server-side path."""
+        batch = 4
+        graph = build_model(model_name)
+        partitioner = GraphPartitioner(graph)
+        params = GraphExecutor(graph, seed=0).params
+        xs = sample_inputs(graph, batch)
+        for point in sampled_points(graph, count=2):
+            partitioned = partitioner.partition(point)
+            head = SegmentExecutor(partitioned.head, params=params)
+            tail_names = list(partitioned.tail.boundary_inputs)
+            per_sample = []
+            for x in xs:
+                head_out = head.run({name: x for name
+                                     in partitioned.head.boundary_inputs})
+                per_sample.append({
+                    name: (x if name == graph.input_name else head_out[name])
+                    for name in tail_names
+                })
+            boundary = {
+                name: np.concatenate([s[name] for s in per_sample], axis=0)
+                for name in tail_names
+            }
+            out = SegmentExecutor(
+                partitioned.tail, params=params, backend="planned", batch=batch,
+            ).run(boundary)
+            tail_naive = SegmentExecutor(partitioned.tail, params=params)
+            for i, sample_boundary in enumerate(per_sample):
+                for name, want in tail_naive.run(sample_boundary).items():
+                    assert np.array_equal(out[name][i:i + 1], want), \
+                        f"{model_name} point={point} sample {i} tensor {name}"
 
     def test_batch_shape_validation(self):
         graph = build_model("alexnet")

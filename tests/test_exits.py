@@ -6,8 +6,8 @@ prefixes (ancestor closure + head) with nondecreasing accuracy proxies,
 and the zoo families declare well-formed sets.  Second, the *bit-level*
 guarantee that makes ``sla_s=None`` degenerate identity structural: a
 model built through the exit path executes byte-identically to the plain
-model at the final exit, across backends, batch sizes and thread counts,
-and every early-exit head graph is itself backend-stable.
+model at the final exit, across backends and batch sizes, and every
+early-exit head graph is itself backend-stable.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.graph.exits import (
 from repro.graph.graph import GraphError
 from repro.models import build_exit_model, build_model, list_exit_models
 from repro.nn import GraphExecutor
-from repro.nn.parallel import ParallelConfig
 
 from tests.helpers import sample_inputs, assert_per_sample_bit_identical
 
@@ -164,28 +163,26 @@ class TestFinalExitByteIdentity:
     final exit equals executing the plain model byte for byte."""
 
     @pytest.mark.parametrize("name", EXIT_FAMILIES)
-    @pytest.mark.parametrize("backend,batch,threads", [
-        ("naive", 1, None),
-        ("planned", 1, None),
-        pytest.param("planned", 2, 2, marks=pytest.mark.slow),
+    @pytest.mark.parametrize("backend,batch", [
+        ("naive", 1),
+        ("planned", 1),
+        pytest.param("planned", 2, marks=pytest.mark.slow),
     ])
-    def test_final_exit_matches_plain_model(self, name, backend, batch, threads):
+    def test_final_exit_matches_plain_model(self, name, backend, batch):
         graph, branches = build_exit_model(name)
         assert branches[-1].graph is graph
-        par = None if threads is None else ParallelConfig(threads=threads)
         via_exit = GraphExecutor(branches[-1].graph, seed=0, backend=backend,
-                                 batch=batch, parallelism=par)
+                                 batch=batch)
         plain = GraphExecutor(build_model(name), seed=0, backend=backend,
-                              batch=batch, parallelism=par)
+                              batch=batch)
         xs = sample_inputs(graph, batch)
         x = np.concatenate(xs, axis=0) if batch > 1 else xs[0]
         assert np.array_equal(via_exit.run(x), plain.run(x))
 
     def test_early_exit_heads_are_backend_stable(self):
-        """Every squeezenet early-exit graph: planned batched threaded run
-        == independent naive batch-1 runs, per sample, bit for bit."""
+        """Every squeezenet early-exit graph: planned batched run ==
+        independent naive batch-1 runs, per sample, bit for bit."""
         graph, branches = build_exit_model("squeezenet")
         for b in branches[:-1]:
-            ex = GraphExecutor(b.graph, seed=0, backend="planned", batch=2,
-                               parallelism=ParallelConfig(threads=2))
+            ex = GraphExecutor(b.graph, seed=0, backend="planned", batch=2)
             assert_per_sample_bit_identical(b.graph, ex, 2)

@@ -1,17 +1,14 @@
-"""Cross-feature interaction matrix: batching × parallelism × resilience × faults.
+"""Cross-feature interaction matrix: batching × resilience × faults.
 
-Batching (PR 2), resilience/fault injection (PR 3) and parallel plans
-(PR 4/5) shipped as separate opt-ins; this matrix drives every pairing
-through :class:`MultiClientSystem` and pins down the composition
-contracts:
+Batching, resilience/fault injection, streaming and SLA classes shipped
+as separate opt-ins; this matrix drives every pairing through
+:class:`MultiClientSystem` and pins down the composition contracts:
 
 - every configuration completes (the drain loop never hangs, with or
   without faults in flight);
-- a zero-rate fault plan plus a serial (threads=1) parallel config is
-  **byte-identical** to the plain path — opting in without turning
-  anything on perturbs nothing;
-- thread count never changes what the fleet computes or records — the
-  simulated timeline is independent of real execution interleaving.
+- a zero-rate fault plan is **byte-identical** to the plain path —
+  opting in without turning anything on perturbs nothing;
+- a seed fixes the whole run: records and outputs repeat exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ import pytest
 
 from repro.network.faults import FaultPlan
 from repro.network.streaming import StreamingConfig
-from repro.nn.parallel import ParallelConfig
 from repro.runtime.batching import BatchingConfig
 from repro.runtime.messages import STATUSES
 from repro.runtime.multi import MultiClientSystem
@@ -39,13 +35,12 @@ ACTIVE_FAULTS = FaultPlan(drop_prob=0.25, latency_spike_prob=0.25,
 ZERO_FAULTS = FaultPlan(seed=5)
 
 
-def run_fleet(engine, *, batching=None, parallelism=None, resilience=None,
-              faults=None, streaming=None, sla_classes=None, seed=7):
+def run_fleet(engine, *, batching=None, resilience=None, faults=None,
+              streaming=None, sla_classes=None, seed=7):
     """One fleet run → (per-timeline record signatures, client outputs)."""
     config = SystemConfig(
         seed=seed, policy="loadpart", functional=True, backend="planned",
-        batching=batching, parallelism=parallelism,
-        resilience=resilience, faults=faults, streaming=streaming,
+        batching=batching, resilience=resilience, faults=faults, streaming=streaming,
         sla_classes=sla_classes,
     )
     system = MultiClientSystem(engine, CLIENTS, config=config)
@@ -68,7 +63,7 @@ def run_fleet(engine, *, batching=None, parallelism=None, resilience=None,
 @pytest.mark.parametrize("batching", [None, BatchingConfig(window_s=0.004)],
                          ids=["unbatched", "batched"])
 class TestInteractionMatrix:
-    """{batching} × {threads 1/2} × {resilience} × {faults zero/active}."""
+    """{batching} × {resilience} × {faults zero/active}."""
 
     def test_matrix_completes_and_degenerate_configs_are_plain(
             self, squeezenet_engine, batching, resilience):
@@ -76,29 +71,23 @@ class TestInteractionMatrix:
                           resilience=resilience)
         assert plain[0].total_requests > 0
         runs = {}
-        for threads in (1, 2):
-            for fault_name, faults in (("zero", ZERO_FAULTS),
-                                       ("active", ACTIVE_FAULTS)):
-                result, signature, outputs = run_fleet(
-                    squeezenet_engine, batching=batching,
-                    resilience=resilience, faults=faults,
-                    parallelism=ParallelConfig(threads=threads),
-                )
-                # Fleet completion: the run returned (no hang) and every
-                # client issued work with well-formed records.
-                assert result.total_requests > 0
-                assert len(result.timelines) == CLIENTS
-                for timeline in result.timelines:
-                    for record in timeline:
-                        assert record.status in STATUSES
-                runs[(threads, fault_name)] = (signature, outputs)
+        for fault_name, faults in (("zero", ZERO_FAULTS),
+                                   ("active", ACTIVE_FAULTS)):
+            result, signature, outputs = run_fleet(
+                squeezenet_engine, batching=batching,
+                resilience=resilience, faults=faults,
+            )
+            # Fleet completion: the run returned (no hang) and every
+            # client issued work with well-formed records.
+            assert result.total_requests > 0
+            assert len(result.timelines) == CLIENTS
+            for timeline in result.timelines:
+                for record in timeline:
+                    assert record.status in STATUSES
+            runs[fault_name] = (signature, outputs)
 
-        # Zero-rate faults + serial scheduling == the plain path, bytewise.
-        assert runs[(1, "zero")] == (plain[1], plain[2])
-        # Thread count never changes records or outputs, faulty or not.
-        for fault_name in ("zero", "active"):
-            assert runs[(2, fault_name)] == runs[(1, fault_name)], \
-                f"threads changed the {fault_name}-fault fleet"
+        # Zero-rate faults == the plain path, bytewise.
+        assert runs["zero"] == (plain[1], plain[2])
 
     def test_resilient_active_fleet_serves_every_request(
             self, squeezenet_engine, batching, resilience):
@@ -107,7 +96,7 @@ class TestInteractionMatrix:
         both drain."""
         result, signature, _ = run_fleet(
             squeezenet_engine, batching=batching, resilience=resilience,
-            faults=ACTIVE_FAULTS, parallelism=ParallelConfig(threads=2),
+            faults=ACTIVE_FAULTS,
         )
         assert result.total_requests > 0
         if resilience is not None:
@@ -131,71 +120,51 @@ DEGENERATE_STREAMING = StreamingConfig(chunk_bytes=None, codecs=("fp32",))
 @pytest.mark.parametrize("batching", [None, BatchingConfig(window_s=0.004)],
                          ids=["unbatched", "batched"])
 class TestStreamingInteractions:
-    """Streaming × {batching, threads 1/2, resilience, faults zero/active}."""
+    """Streaming × {batching, resilience, faults zero/active}."""
 
     def test_streaming_matrix_completes(self, squeezenet_engine, batching,
                                         resilience):
-        runs = {}
-        for threads in (1, 2):
-            for fault_name, faults in (("zero", ZERO_FAULTS),
-                                       ("active", ACTIVE_FAULTS)):
-                result, signature, outputs = run_fleet(
-                    squeezenet_engine, batching=batching,
-                    resilience=resilience, faults=faults,
-                    parallelism=ParallelConfig(threads=threads),
-                    streaming=STREAMING,
-                )
-                assert result.total_requests > 0
-                assert len(result.timelines) == CLIENTS
-                for timeline in result.timelines:
-                    for record in timeline:
-                        assert record.status in STATUSES
-                runs[(threads, fault_name)] = (signature, outputs)
-        # Simulated timelines stay independent of real thread interleaving
-        # even with the streamed upload path in the loop.
-        for fault_name in ("zero", "active"):
-            assert runs[(2, fault_name)] == runs[(1, fault_name)], \
-                f"threads changed the streamed {fault_name}-fault fleet"
+        for faults in (ZERO_FAULTS, ACTIVE_FAULTS):
+            result, _, _ = run_fleet(
+                squeezenet_engine, batching=batching,
+                resilience=resilience, faults=faults, streaming=STREAMING,
+            )
+            assert result.total_requests > 0
+            assert len(result.timelines) == CLIENTS
+            for timeline in result.timelines:
+                for record in timeline:
+                    assert record.status in STATUSES
 
     def test_degenerate_streaming_is_plain_bytewise(
             self, squeezenet_engine, batching, resilience):
-        """No chunking + lossless-identity codec + zero-rate faults +
-        serial scheduling == the non-streaming path, bytewise."""
+        """No chunking + lossless-identity codec + zero-rate faults ==
+        the non-streaming path, bytewise."""
         plain = run_fleet(squeezenet_engine, batching=batching,
-                          resilience=resilience, faults=ZERO_FAULTS,
-                          parallelism=ParallelConfig(threads=1))
+                          resilience=resilience, faults=ZERO_FAULTS)
         degenerate = run_fleet(squeezenet_engine, batching=batching,
                                resilience=resilience, faults=ZERO_FAULTS,
-                               parallelism=ParallelConfig(threads=1),
                                streaming=DEGENERATE_STREAMING)
         assert degenerate[0].total_requests == plain[0].total_requests
         assert (degenerate[1], degenerate[2]) == (plain[1], plain[2])
 
 
 class TestSeedDeterminism:
-    """Identical seeds → identical FleetResult records, across runs and
-    thread counts, even with active faults + batching + resilience on
-    (the PR 3 dedicated seed-keyed RNG stream under PR 4/5 interleaving)."""
+    """Identical seeds → identical FleetResult records, run to run, even
+    with active faults + batching + resilience on (the dedicated
+    seed-keyed fault RNG stream)."""
 
-    def _signature(self, engine, threads):
-        parallelism = ParallelConfig(threads=threads) if threads else None
+    def _signature(self, engine):
         _, signature, outputs = run_fleet(
             engine, batching=BatchingConfig(window_s=0.004),
-            resilience=ResilienceConfig(), faults=ACTIVE_FAULTS,
-            parallelism=parallelism, seed=11,
+            resilience=ResilienceConfig(), faults=ACTIVE_FAULTS, seed=11,
         )
         return signature, outputs
 
     def test_faulty_batched_fleet_reproducible(self, squeezenet_engine):
-        first = self._signature(squeezenet_engine, None)
+        first = self._signature(squeezenet_engine)
         assert any(len(t) for t in first[0])
         # Same seed, same everything — run-to-run.
-        assert self._signature(squeezenet_engine, None) == first
-        # ... and across thread counts, including repeat runs.
-        for threads in (1, 2, 8):
-            assert self._signature(squeezenet_engine, threads) == first, \
-                f"threads={threads} changed the faulty fleet's records"
-        assert self._signature(squeezenet_engine, 2) == first
+        assert self._signature(squeezenet_engine) == first
 
     def test_different_fault_seed_changes_the_run(self, squeezenet_engine):
         """Sanity: the determinism above is not vacuous — fault draws do
@@ -223,56 +192,52 @@ SLA_MIX = (0.02, None, 0.5)
 @pytest.mark.parametrize("batching", [None, BatchingConfig(window_s=0.004)],
                          ids=["unbatched", "batched"])
 class TestSlaInteractions:
-    """Mixed strict/slack SLA × {batching} × {threads 1/2} × {resilience}
-    × {faults}: fleets complete with sane ``sla_s``/``exit_index``/
-    ``met_sla`` stamps, and runs are seed-reproducible."""
+    """Mixed strict/slack SLA × {batching} × {resilience} × {faults}:
+    fleets complete with sane ``sla_s``/``exit_index``/``met_sla``
+    stamps, and runs are seed-reproducible."""
 
     def test_mixed_sla_matrix_completes_with_sane_stamps(
             self, exit_engine_for, batching, resilience):
         engine = exit_engine_for("squeezenet")
-        for threads in (1, 2):
-            for faults in (None, ACTIVE_FAULTS):
-                result, _, _ = run_fleet(
-                    engine, batching=batching, resilience=resilience,
-                    faults=faults, parallelism=ParallelConfig(threads=threads),
-                    sla_classes=SLA_MIX)
-                assert result.total_requests > 0
-                assert len(result.timelines) == CLIENTS
-                for i, timeline in enumerate(result.timelines):
-                    expected_sla = SLA_MIX[i % len(SLA_MIX)]
-                    for r in timeline:
-                        assert r.status in STATUSES
-                        assert r.sla_s == expected_sla
-                        assert (r.exit_index is None
-                                or 0 <= r.exit_index < engine.num_exits)
-                        if expected_sla is None:
-                            # The classic path, untouched: no exit axis,
-                            # no attainment stamp.
-                            assert r.met_sla is None
-                            assert r.exit_index is None
-                        else:
-                            assert r.met_sla == (
-                                r.completed and r.total_s <= r.sla_s)
-                if faults is None:
-                    # Fault-free, every SLA request ran the (exit, point)
-                    # decision: the strict class trades accuracy (early
-                    # exits), the slack class keeps the full network.
-                    strict, free, slack = result.timelines[:3]
-                    assert all(r.exit_index is not None for r in strict)
-                    assert any(r.exit_index < engine.num_exits - 1
-                               for r in strict)
-                    assert any(r.exit_index == engine.num_exits - 1
-                               for r in slack)
-                    attainment = result.sla_attainment()
-                    assert 0.0 <= attainment <= 1.0
+        for faults in (None, ACTIVE_FAULTS):
+            result, _, _ = run_fleet(
+                engine, batching=batching, resilience=resilience,
+                faults=faults, sla_classes=SLA_MIX)
+            assert result.total_requests > 0
+            assert len(result.timelines) == CLIENTS
+            for i, timeline in enumerate(result.timelines):
+                expected_sla = SLA_MIX[i % len(SLA_MIX)]
+                for r in timeline:
+                    assert r.status in STATUSES
+                    assert r.sla_s == expected_sla
+                    assert (r.exit_index is None
+                            or 0 <= r.exit_index < engine.num_exits)
+                    if expected_sla is None:
+                        # The classic path, untouched: no exit axis,
+                        # no attainment stamp.
+                        assert r.met_sla is None
+                        assert r.exit_index is None
+                    else:
+                        assert r.met_sla == (
+                            r.completed and r.total_s <= r.sla_s)
+            if faults is None:
+                # Fault-free, every SLA request ran the (exit, point)
+                # decision: the strict class trades accuracy (early
+                # exits), the slack class keeps the full network.
+                strict, free, slack = result.timelines[:3]
+                assert all(r.exit_index is not None for r in strict)
+                assert any(r.exit_index < engine.num_exits - 1
+                           for r in strict)
+                assert any(r.exit_index == engine.num_exits - 1
+                           for r in slack)
+                attainment = result.sla_attainment()
+                assert 0.0 <= attainment <= 1.0
 
     def test_mixed_sla_fleet_reproducible(self, exit_engine_for, batching,
                                           resilience):
         engine = exit_engine_for("squeezenet")
         kwargs = dict(batching=batching, resilience=resilience,
-                      faults=ACTIVE_FAULTS,
-                      parallelism=ParallelConfig(threads=2),
-                      sla_classes=SLA_MIX)
+                      faults=ACTIVE_FAULTS, sla_classes=SLA_MIX)
         _, sig_a, out_a = run_fleet(engine, **kwargs)
         _, sig_b, out_b = run_fleet(engine, **kwargs)
         assert sig_a == sig_b

@@ -8,6 +8,7 @@ from repro.graph.partitioner import GraphPartitioner
 from repro.models import build_model
 from repro.nn import BACKENDS, GraphExecutor, SegmentExecutor
 from repro.nn.plan import GraphPlan, PlanError, SegmentPlan, WorkspaceArena
+from tests.helpers import SWEEP_ZOO, sampled_points
 
 _FAST_MODELS = ("alexnet", "squeezenet", "mobilenet_v1", "mobilenet_v2", "resnet18")
 _SLOW_MODELS = ("vgg16", "resnet50", "resnet101", "resnet152", "inception_v3", "xception")
@@ -146,6 +147,34 @@ class TestSegmentPlans:
         part.tail.result_names = ("no-such-node",)
         with pytest.raises(PlanError, match="not produced"):
             SegmentPlan(part.tail, seed=0)
+
+
+class TestZooSegments:
+    """Planned head and tail segments equal naive ones at sampled points."""
+
+    @pytest.mark.parametrize("model_name", SWEEP_ZOO)
+    def test_planned_segments_match_naive(self, model_name):
+        graph = build_model(model_name)
+        params = GraphExecutor(graph, seed=0).params
+        x = _input_for(graph)
+        partitioner = GraphPartitioner(graph)
+        for point in sampled_points(graph, count=2):
+            part = partitioner.partition(point)
+            head_in = {name: x for name in part.head.boundary_inputs}
+            head_ref = SegmentExecutor(part.head, params=params).run(head_in)
+            tail_in = {
+                name: (x if name == graph.input_name else head_ref[name])
+                for name in part.tail.boundary_inputs
+            }
+            tail_ref = SegmentExecutor(part.tail, params=params).run(tail_in)
+            for segment, boundary, ref in ((part.head, head_in, head_ref),
+                                           (part.tail, tail_in, tail_ref)):
+                got = SegmentExecutor(segment, params=params,
+                                      backend="planned").run(boundary)
+                assert set(got) == set(ref)
+                for name, want in ref.items():
+                    assert np.array_equal(got[name], want), \
+                        f"{model_name} {segment.name} point={point} tensor {name}"
 
 
 class TestWorkspaceArena:

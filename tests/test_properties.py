@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 from repro.graph.builder import GraphBuilder
 from repro.graph.partitioner import GraphPartitioner
 from repro.nn.executor import GraphExecutor, SegmentExecutor
-from repro.nn.parallel import ParallelConfig
-from repro.nn.plan import GraphPlan
 from tests.helpers import brute_force
 
 
@@ -160,117 +158,6 @@ class TestExecutionEquivalence:
             tail = SegmentExecutor(part.tail, params=executor.params)
             got = tail.run(boundary)[graph.output_name]
         np.testing.assert_allclose(got, ref, rtol=1e-4, atol=1e-5)
-
-
-def _chain_ancestors(chain_deps):
-    """Transitive closure of the chain DAG: ancestors[c] = chains that
-    must complete before chain ``c`` may start."""
-    ancestors = []
-    for c, deps in enumerate(chain_deps):
-        acc = set()
-        for d in deps:
-            acc.add(d)
-            acc |= ancestors[d]  # chain ids are topologically ordered
-        ancestors.append(acc)
-    return ancestors
-
-
-def _happens_before(i, j, chain_of, ancestors, order):
-    """Is compute step ``i`` guaranteed to finish before ``j`` starts,
-    under *every* legal chain interleaving?"""
-    ci, cj = chain_of[order[i]], chain_of[order[j]]
-    if ci == cj:
-        return i < j  # within a chain, steps run in compile order
-    return ci in ancestors[cj]
-
-
-class TestChainSlicingProperties:
-    """The chain pass on arbitrary DAGs: partition, deps, arena aliasing."""
-
-    @given(graph=random_dag())
-    @settings(max_examples=30, deadline=None)
-    def test_chains_partition_steps_exactly_once(self, graph):
-        plan = GraphPlan(graph, parallel=ParallelConfig(threads=2))
-        info = plan.chain_info
-        assert info is not None
-        step_names = [name for name, _ in plan._core._steps]
-        step_pos = {name: i for i, name in enumerate(step_names)}
-        from_chains = [name for chain in info.chains for name in chain]
-        # Every compiled step lands in exactly one chain...
-        assert sorted(from_chains) == sorted(step_names)
-        # ...and within a chain, steps keep their compile order.
-        for chain in info.chains:
-            positions = [step_pos[name] for name in chain]
-            assert positions == sorted(positions)
-
-    @given(graph=random_dag())
-    @settings(max_examples=30, deadline=None)
-    def test_chains_respect_dependencies(self, graph):
-        """Every data edge is safe under any interleaving: produced in the
-        same chain earlier, or in a chain the consumer's chain awaits."""
-        plan = GraphPlan(graph, parallel=ParallelConfig(threads=2))
-        info = plan.chain_info
-        ancestors = _chain_ancestors(info.chain_deps)
-        for name, j in info.node_index.items():
-            node = graph.node(name)
-            for dep in node.inputs:
-                if dep not in info.node_index:
-                    continue  # external input: written before any chain runs
-                i = info.node_index[dep]
-                ci, cj = info.chain_of[dep], info.chain_of[name]
-                if ci == cj:
-                    assert i < j
-                else:
-                    assert ci in ancestors[cj], \
-                        f"edge {dep}->{name} crosses chains without ordering"
-
-    @given(graph=random_dag())
-    @settings(max_examples=25, deadline=None)
-    def test_no_concurrent_lifetimes_share_arena_storage(self, graph):
-        """If two tensors share a workspace buffer, all accesses to one
-        must happen-before all accesses to the other — under every chain
-        interleaving, not just the serial compile order."""
-        plan = GraphPlan(graph, parallel=ParallelConfig(threads=2))
-        core = plan._core
-        info = plan.chain_info
-        ancestors = _chain_ancestors(info.chain_deps)
-        order = list(info.node_index)  # names by compile index
-        order.sort(key=info.node_index.get)
-
-        # Access sets per storage root: producing step + every reader.
-        touches = {}
-        for name, idx in info.node_index.items():
-            touches.setdefault(info.roots[name], set()).add(idx)
-            for dep in graph.node(name).inputs:
-                if dep in info.roots:
-                    touches.setdefault(info.roots[dep], set()).add(idx)
-
-        roots = [r for r in touches if r in core._bound]
-        for a in range(len(roots)):
-            for b_i in range(a + 1, len(roots)):
-                ra, rb = roots[a], roots[b_i]
-                if not np.shares_memory(core._bound[ra], core._bound[rb]):
-                    continue
-                # Shared storage (arena reuse or in-place rewrite): one
-                # lifetime must entirely precede the other.
-                ok = (
-                    all(_happens_before(i, j, info.chain_of, ancestors, order)
-                        for i in touches[ra] for j in touches[rb] if i != j)
-                    or all(_happens_before(j, i, info.chain_of, ancestors, order)
-                           for i in touches[ra] for j in touches[rb] if i != j)
-                )
-                assert ok, f"roots {ra!r} and {rb!r} can overlap while sharing storage"
-
-    @given(graph=random_dag(), seed=st.integers(0, 500),
-           threads=st.sampled_from([2, 4]))
-    @settings(max_examples=20, deadline=None)
-    def test_parallel_run_bit_identical_on_random_dags(self, graph, seed, threads):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(graph.input_spec.shape).astype(np.float32)
-        serial = GraphPlan(graph, seed=seed)
-        parallel = GraphPlan(graph, seed=seed, params=serial.params,
-                             parallel=ParallelConfig(threads=threads))
-        assert parallel.run(x).tobytes() == serial.run(x).tobytes()
 
 
 class TestAlgorithmOnRandomGraphs:

@@ -11,8 +11,8 @@ Covers the streaming stack bottom-up:
   equivalence with Algorithm 1, bandwidth-driven codec/point shifts, the
   release schedule, ``joint_at`` pinning, and the stream-mode overlap
   bound;
-- :class:`GatedRun` / :class:`PlanStream` — arrival-gated plan execution
-  bit-identical to monolithic runs;
+- :class:`PlanStream` — arrival-gated plan execution bit-identical to
+  monolithic runs;
 - the runtime streamed path — a degenerate config is byte-identical to
   no streaming at all, and lossless streamed runs reproduce the
   non-streaming output bit-for-bit.
@@ -31,7 +31,6 @@ from repro.network.faults import FaultPlan, FaultyChannel
 from repro.network.streaming import StreamingConfig, plan_chunks
 from repro.network.traces import ConstantTrace
 from repro.nn.executor import GraphExecutor
-from repro.nn.parallel import GatedRun, ParallelConfig, ParallelPlanRunner
 from repro.nn.plan import SegmentPlan
 from repro.runtime.system import OffloadingSystem, SystemConfig
 
@@ -245,53 +244,6 @@ class TestJointDecision:
             squeezenet_engine.decide_joint(4e6)
 
 
-class TestGatedRun:
-    def _runner(self, log, threads=2):
-        chains = [[lambda: log.append("a")], [lambda: log.append("b")]]
-        return ParallelPlanRunner(chains, [set(), {0}], threads)
-
-    def test_gates_hold_back_chains(self):
-        log: list = []
-        runner = self._runner(log)
-        run = runner.begin([{"x"}, set()])
-        assert log == []  # chain 0 gated, chain 1 depends on it: nothing ran
-        run.release("x")
-        run.finish()
-        assert log == ["a", "b"]
-
-    def test_ungated_begin_is_run(self):
-        log: list = []
-        self._runner(log).begin().finish()
-        assert log == ["a", "b"]
-
-    def test_finish_with_unreleased_gates_raises(self):
-        run = self._runner([]).begin([{"x"}, set()])
-        with pytest.raises(RuntimeError, match="unreleased gates"):
-            run.finish()
-
-    def test_unknown_release_is_noop(self):
-        log: list = []
-        run = self._runner(log).begin()
-        run.release("nope")
-        run.finish()
-        assert log == ["a", "b"]
-
-    def test_chain_error_propagates(self):
-        def boom():
-            raise ValueError("chain failed")
-
-        runner = ParallelPlanRunner([[boom]], [set()], 2)
-        with pytest.raises(ValueError, match="chain failed"):
-            runner.begin().finish()
-
-    def test_gate_list_must_match_chains(self):
-        with pytest.raises(ValueError, match="one-to-one"):
-            self._runner([]).begin([set()])
-
-    def test_gated_run_exported(self):
-        assert isinstance(self._runner([]).begin(), GatedRun)
-
-
 @pytest.fixture
 def fire_tail(fire_graph):
     """SqueezeNet-style fire tail with two crossing tensors (e1, e3 inputs)."""
@@ -301,11 +253,9 @@ def fire_tail(fire_graph):
 
 
 class TestPlanStream:
-    @pytest.mark.parametrize("parallel", [None, ParallelConfig(threads=2)],
-                             ids=["serial", "threaded"])
-    def test_bit_identical_to_run_any_feed_order(self, fire_tail, rng, parallel):
+    def test_bit_identical_to_run_any_feed_order(self, fire_tail, rng):
         part, params = fire_tail
-        plan = SegmentPlan(part.tail, params=params, parallel=parallel)
+        plan = SegmentPlan(part.tail, params=params)
         boundary = {
             name: rng.standard_normal(spec.shape).astype(np.float32)
             for name, spec in part.tail.boundary_inputs.items()
@@ -345,8 +295,7 @@ class TestPlanStream:
 
     def test_abort_releases_the_plan(self, fire_tail, rng):
         part, params = fire_tail
-        plan = SegmentPlan(part.tail, params=params,
-                           parallel=ParallelConfig(threads=2))
+        plan = SegmentPlan(part.tail, params=params)
         boundary = {
             name: rng.standard_normal(spec.shape).astype(np.float32)
             for name, spec in part.tail.boundary_inputs.items()

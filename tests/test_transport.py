@@ -10,12 +10,15 @@ a sync function driving one ``asyncio.run``) and pin:
 - lossy codecs stay within the codec's declared error bound;
 - the server answers a bad request with an ``error`` reply and keeps
   serving the same connection;
+- an open stream on one connection never stalls another connection's
+  request for the same partition point;
 - frame helpers round-trip headers and payloads.
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -191,6 +194,78 @@ class TestErrorHandling:
             return True
 
         assert _with_session(drive)
+
+
+def _serve_in_thread():
+    """A server on its own event loop in a daemon thread.
+
+    A server whose loop blocks then fails the test on the client's
+    timeouts instead of hanging the test process.
+    """
+    started = threading.Event()
+    address = []
+
+    async def main():
+        server = TransportServer(MODEL, seed=SEED)
+        address.append(await server.start())
+        started.set()
+        await server.wait_closed()
+
+    thread = threading.Thread(target=asyncio.run, args=(main(),), daemon=True)
+    thread.start()
+    assert started.wait(timeout=60.0), "server did not start"
+    return address[0], thread
+
+
+class TestConcurrentConnections:
+    @pytest.mark.parametrize("chunk_bytes", [None, 4096],
+                             ids=["monolithic", "streamed"])
+    def test_open_stream_does_not_wedge_other_connections(
+            self, local_reference, chunk_bytes):
+        """Connection A opens a stream to POINT and sends half its payload;
+        connection B then sends a whole request for POINT.  B waits for A's
+        plan without blocking the server, so A's remaining frames are still
+        read, and both get bit-exact replies."""
+        from repro.runtime.transport import _tensor_meta
+
+        _graph, reference, boundary = local_reference
+        ref_bytes = np.ascontiguousarray(reference).tobytes()
+        (host, port), thread = _serve_in_thread()
+
+        async def main():
+            reader_a, writer_a = await asyncio.open_connection(host, port)
+            client_b = await TransportClient.connect(host, port)
+            try:
+                encoded = [(name, TensorCodec("fp32").encode(tensor))
+                           for name, tensor in boundary.items()]
+                payload = b"".join(enc.payload for _name, enc in encoded)
+                half = len(payload) // 2
+                await send_frame(writer_a, {
+                    "op": "begin", "request_id": 1, "point": POINT,
+                    "tensors": [_tensor_meta(name, enc) for name, enc in encoded],
+                })
+                await send_frame(writer_a, {"op": "chunk", "request_id": 1},
+                                 payload[:half])
+                request_b = asyncio.create_task(client_b.offload(
+                    POINT, boundary, chunk_bytes=chunk_bytes, timeout_s=10.0))
+                await asyncio.sleep(0.2)    # B reaches the busy plan
+                await send_frame(writer_a, {"op": "chunk", "request_id": 1},
+                                 payload[half:])
+                await send_frame(writer_a, {"op": "end", "request_id": 1})
+                reply_a, body_a = await asyncio.wait_for(
+                    recv_frame(reader_a), timeout=10.0)
+                return reply_a, body_a, await request_b
+            finally:
+                await client_b.shutdown_server()
+                await client_b.close()
+                writer_a.close()
+
+        reply_a, body_a, out_b = asyncio.run(main())
+        thread.join(timeout=30.0)
+        assert not thread.is_alive(), "server did not shut down"
+        assert reply_a["op"] == "result", reply_a
+        assert body_a == ref_bytes
+        assert out_b.result.tobytes() == ref_bytes
 
 
 class TestFrames:

@@ -19,24 +19,6 @@ the resilient arm's **availability** (fractional drop vs baseline) and
 **fallback rate** (absolute increase) per fault scenario — host speed
 plays no role in either, so they compare cleanly across machines.
 
-``BENCH_parallel.json`` reports are also detected automatically.  They
-gate on the candidate's own numbers rather than the baseline's, because
-chain-parallel speedup depends on core count and the baseline may have
-been committed from a different machine: at least one branchy model must
-reach the 1.2x speedup floor (skipped, loudly, when the candidate host
-has fewer than two CPUs — parallelism cannot pay off there), no serial
-control model may slow down more than 5%, and bit-identity must hold
-everywhere.
-
-``BENCH_parallel_samples.json`` reports gate the same way on the 2-D
-(sample × chain) grid: at least one ``sample_parallel`` cell must reach
-the 1.2x floor on 2+ CPU hosts, ``serial_control`` cells (threads=1 on a
-single-chain backbone) stay within 5%, and bit-identity — sample-parallel
-output vs the serial batched plan vs per-sample naive runs — is enforced
-unconditionally.  ``chain_only`` and ``branchy_serial`` cells are
-informational (the former is gated by the parallel_chains report, the
-latter carries PR 4's accepted chain-compile overhead).
-
 ``BENCH_fleet.json`` reports gate on the candidate alone: the 4-server
 fleet must complete every request (availability 1.0) while server 0
 crashes mid-run, its p95 must beat the saturated 1-server fleet's, the
@@ -66,16 +48,6 @@ import pathlib
 import sys
 
 DEFAULT_THRESHOLD = 0.15
-
-#: parallel_chains gates: ≥1.2x on at least one branchy model (multi-core
-#: hosts only), and serial single-chain controls within 5% of their
-#: serial-plan time.
-BRANCHY_SPEEDUP_FLOOR = 1.2
-SERIAL_CONTROL_TOLERANCE = 0.05
-
-#: parallel_samples gate: ≥1.2x on at least one (batch, threads) cell
-#: that schedules samples in parallel (multi-core hosts only).
-SAMPLE_SPEEDUP_FLOOR = 1.2
 
 #: streaming gates: streamed-lossless uploads must beat monolithic fp32
 #: by ≥1.3x at every transfer-dominated (≤8 Mbps) pinned cell, the joint
@@ -232,117 +204,6 @@ def compare_exits(baseline: dict, candidate: dict,
     return regressions
 
 
-def compare_parallel(baseline: dict, candidate: dict,
-                     threshold: float) -> list[str]:
-    """Gate chain-parallel execution on the candidate's own report.
-
-    Speedup is a property of the candidate host's core count, so the
-    baseline is used for side-by-side context only; the hard gates are
-    the branchy speedup floor, the serial-control regression bound, and
-    bit-identity.
-    """
-    regressions: list[str] = []
-    base_results = baseline["results"]
-    cand_results = candidate["results"]
-    cpus = (candidate.get("host") or {}).get("cpus") or 0
-    branchy_best: tuple[str, float] | None = None
-    for name in sorted(cand_results):
-        entry = cand_results[name]
-        speedup = entry["speedup"]
-        marker = ""
-        if not entry.get("bit_identical", False):
-            marker = "  <-- REGRESSION"
-            regressions.append(f"{name}: parallel output not bit-identical")
-        if entry["role"] == "branchy":
-            if branchy_best is None or speedup > branchy_best[1]:
-                branchy_best = (name, speedup)
-        elif speedup < 1.0 - SERIAL_CONTROL_TOLERANCE:
-            marker = "  <-- REGRESSION"
-            regressions.append(
-                f"{name}: serial control slowed {entry['serial_ms']:.1f} -> "
-                f"{entry['parallel_ms']:.1f} ms ({speedup:.2f}x < "
-                f"{1.0 - SERIAL_CONTROL_TOLERANCE:.2f}x)")
-        base = base_results.get(name)
-        context = (f"baseline {base['speedup']:.2f}x  " if base else "")
-        print(f"{name:12s} ({entry['role']:14s}) serial "
-              f"{entry['serial_ms']:9.1f} ms  parallel "
-              f"{entry['parallel_ms']:9.1f} ms  {context}"
-              f"speedup {speedup:.2f}x{marker}")
-    if branchy_best is None:
-        raise SystemExit("candidate report has no branchy models; "
-                         "nothing to gate")
-    if cpus >= 2:
-        if branchy_best[1] < BRANCHY_SPEEDUP_FLOOR:
-            regressions.append(
-                f"best branchy speedup {branchy_best[1]:.2f}x "
-                f"({branchy_best[0]}) below the "
-                f"{BRANCHY_SPEEDUP_FLOOR:.1f}x floor on {cpus} cpus")
-        else:
-            print(f"\nbranchy floor met: {branchy_best[0]} "
-                  f"{branchy_best[1]:.2f}x >= {BRANCHY_SPEEDUP_FLOOR:.1f}x "
-                  f"on {cpus} cpus")
-    else:
-        print(f"\nbranchy speedup floor skipped: candidate host has "
-              f"{cpus} cpu(s); chain parallelism cannot pay off")
-    return regressions
-
-
-def compare_parallel_samples(baseline: dict, candidate: dict,
-                             threshold: float) -> list[str]:
-    """Gate per-sample parallel batched plans on the candidate's report.
-
-    Mirrors :func:`compare_parallel`: speedup depends on the candidate
-    host's core count, so the baseline provides side-by-side context only.
-    Hard gates are the sample-parallel speedup floor (2+ CPU hosts), the
-    serial-control bound, and bit-identity everywhere.
-    """
-    regressions: list[str] = []
-    base_results = baseline["results"]
-    cand_results = candidate["results"]
-    cpus = (candidate.get("host") or {}).get("cpus") or 0
-    best: tuple[str, float] | None = None
-    for name in sorted(cand_results):
-        entry = cand_results[name]
-        speedup = entry["speedup"]
-        marker = ""
-        if not entry.get("bit_identical", False):
-            marker = "  <-- REGRESSION"
-            regressions.append(
-                f"{name}: sample-parallel output not bit-identical")
-        if entry["role"] == "sample_parallel":
-            if best is None or speedup > best[1]:
-                best = (name, speedup)
-        elif (entry["role"] == "serial_control"
-              and speedup < 1.0 - SERIAL_CONTROL_TOLERANCE):
-            marker = "  <-- REGRESSION"
-            regressions.append(
-                f"{name}: serial control slowed {entry['serial_ms']:.1f} -> "
-                f"{entry['parallel_ms']:.1f} ms ({speedup:.2f}x < "
-                f"{1.0 - SERIAL_CONTROL_TOLERANCE:.2f}x)")
-        base = base_results.get(name)
-        context = (f"baseline {base['speedup']:.2f}x  " if base else "")
-        print(f"{name:18s} ({entry['role']:15s}) serial "
-              f"{entry['serial_ms']:9.1f} ms  parallel "
-              f"{entry['parallel_ms']:9.1f} ms  {context}"
-              f"speedup {speedup:.2f}x{marker}")
-    if best is None:
-        raise SystemExit("candidate report has no sample_parallel cells; "
-                         "nothing to gate")
-    if cpus >= 2:
-        if best[1] < SAMPLE_SPEEDUP_FLOOR:
-            regressions.append(
-                f"best sample-parallel speedup {best[1]:.2f}x ({best[0]}) "
-                f"below the {SAMPLE_SPEEDUP_FLOOR:.1f}x floor on {cpus} cpus")
-        else:
-            print(f"\nsample-parallel floor met: {best[0]} "
-                  f"{best[1]:.2f}x >= {SAMPLE_SPEEDUP_FLOOR:.1f}x "
-                  f"on {cpus} cpus")
-    else:
-        print(f"\nsample-parallel speedup floor skipped: candidate host has "
-              f"{cpus} cpu(s); sample parallelism cannot pay off")
-    return regressions
-
-
 #: The discrete fields of a streaming decision row that must equal the
 #: baseline's.
 STREAMING_CHOICE_FIELDS = ("point", "codec", "streamed", "chunks")
@@ -481,18 +342,12 @@ def main(argv=None) -> int:
 
     baseline = load(args.baseline)
     candidate = load(args.candidate)
-    for kind in ("resilience", "parallel_chains", "parallel_samples",
-                 "streaming", "fleet", "exits"):
+    for kind in ("resilience", "streaming", "fleet", "exits"):
         if (baseline.get("benchmark") == kind) != (candidate.get("benchmark") == kind):
             raise SystemExit(f"cannot compare a {kind} report against "
                              "a different benchmark type")
     if baseline.get("benchmark") == "resilience":
         regressions = compare_resilience(baseline, candidate, args.threshold)
-    elif baseline.get("benchmark") == "parallel_chains":
-        regressions = compare_parallel(baseline, candidate, args.threshold)
-    elif baseline.get("benchmark") == "parallel_samples":
-        regressions = compare_parallel_samples(baseline, candidate,
-                                               args.threshold)
     elif baseline.get("benchmark") == "streaming":
         regressions = compare_streaming(baseline, candidate, args.threshold)
     elif baseline.get("benchmark") == "fleet":
