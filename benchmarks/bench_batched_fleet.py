@@ -36,6 +36,8 @@ import time
 
 import numpy as np
 
+from records_digest import records_digest
+
 DEFAULT_OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_batch.json"
 
 #: (model, tail fraction): 0.0 = full offload (whole graph is the tail).
@@ -167,6 +169,7 @@ def bench_fleet(duration_s: float = 4.0, clients: int = 24) -> dict:
             "mean_queue_ms": round(
                 float(np.mean([r.server_queue_s for r in records])) * 1e3, 3)
                 if records else None,
+            "records_digest": records_digest(records),
         }
     out["throughput_gain"] = round(
         out["batched"]["requests_per_s"] / out["sequential"]["requests_per_s"], 3

@@ -34,6 +34,8 @@ import platform
 
 import numpy as np
 
+from records_digest import records_digest
+
 DEFAULT_OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_exits.json"
 
 MODEL = "mobilenet_v1"
@@ -89,6 +91,7 @@ def run_arm(engine, accuracy_of, seed: int, duration_s: float) -> dict:
             [r for r in records if r.sla_s == SLA_STRICT_S], accuracy_of),
         "slack": _class_row(
             [r for r in records if r.sla_s == SLA_SLACK_S], accuracy_of),
+        "records_digest": records_digest(records),
     }
 
 

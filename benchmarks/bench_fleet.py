@@ -43,6 +43,8 @@ import platform
 
 import numpy as np
 
+from records_digest import records_digest
+
 DEFAULT_OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
 
 MODEL = "squeezenet"
@@ -70,6 +72,7 @@ def _summarise(result, duration_s: float) -> dict:
         "local_fraction": round(result.local_fraction, 4),
         "stalled_clients": sum(
             1 for t in result.timelines if any(not r.completed for r in t)),
+        "records_digest": records_digest(records),
     }
 
 

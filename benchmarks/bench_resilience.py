@@ -34,6 +34,8 @@ import platform
 
 import numpy as np
 
+from records_digest import records_digest
+
 DEFAULT_OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_resilience.json"
 
 MODEL = "squeezenet"
@@ -82,6 +84,7 @@ def _summarise(records, duration_s: float) -> dict:
         "throughput_rps": round(len(completed) / duration_s, 2),
         "statuses": statuses,
         "stalled": stalled,
+        "records_digest": records_digest(records),
     }
 
 

@@ -29,6 +29,12 @@ def _check_backend(backend: str) -> str:
     return backend
 
 
+def _check_batch(batch: int) -> int:
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
+    return int(batch)
+
+
 def _param_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng((seed & 0xFFFFFFFF) ^ zlib.crc32(name.encode()))
 
@@ -100,14 +106,14 @@ class GraphExecutor:
     def __init__(self, graph: ComputationGraph, seed: int = 0,
                  params: Dict[str, np.ndarray] | None = None,
                  backend: str = "naive", batch: int = 1) -> None:
+        self._backend = _check_backend(backend)
+        self._batch = _check_batch(batch)
         graph.validate()
         self._graph = graph
         self._order = graph.topological_order()
         self._params = params if params is not None else init_parameters(
             (graph.node(n) for n in self._order), seed
         )
-        self._backend = _check_backend(backend)
-        self._batch = int(batch)
         self._plan = None
         if backend == "planned":
             from repro.nn.plan import GraphPlan  # deferred: plan imports this module
@@ -160,10 +166,10 @@ class SegmentExecutor:
     def __init__(self, segment: Segment, seed: int = 0,
                  params: Dict[str, np.ndarray] | None = None,
                  backend: str = "naive", batch: int = 1) -> None:
+        self._backend = _check_backend(backend)
+        self._batch = _check_batch(batch)
         self._segment = segment
         self._params = params if params is not None else init_parameters(segment.nodes, seed)
-        self._backend = _check_backend(backend)
-        self._batch = int(batch)
         self._plan = None
         if backend == "planned":
             from repro.nn.plan import SegmentPlan  # deferred: plan imports this module

@@ -124,6 +124,12 @@ class PlanError(RuntimeError):
     """Raised when a graph or segment cannot be compiled into a plan."""
 
 
+def _check_batch(batch: int) -> int:
+    if batch < 1:
+        raise PlanError(f"batch must be >= 1, got {batch}")
+    return batch
+
+
 class WorkspaceArena:
     """Pool of flat scratch buffers, reused best-fit across lifetimes.
 
@@ -604,10 +610,8 @@ class CompiledPlan:
                  params: Dict[str, np.ndarray],
                  result_names: Sequence[str],
                  batch: int = 1) -> None:
-        if batch < 1:
-            raise PlanError(f"batch must be >= 1, got {batch}")
         self.name = name
-        self.batch = batch
+        self.batch = _check_batch(batch)
         self._params = params
         self._result_names = tuple(result_names)
         self._arena = WorkspaceArena()
@@ -937,6 +941,7 @@ class GraphPlan:
     def __init__(self, graph: ComputationGraph, seed: int = 0,
                  params: Dict[str, np.ndarray] | None = None,
                  batch: int = 1) -> None:
+        _check_batch(batch)
         graph.validate()
         self._graph = graph
         order = graph.topological_order()
@@ -983,6 +988,7 @@ class SegmentPlan:
     def __init__(self, segment: Segment, seed: int = 0,
                  params: Dict[str, np.ndarray] | None = None,
                  batch: int = 1) -> None:
+        _check_batch(batch)
         self._segment = segment
         self._params = params if params is not None else init_parameters(segment.nodes, seed)
         self._core = CompiledPlan(

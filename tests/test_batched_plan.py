@@ -14,8 +14,8 @@ import pytest
 from repro.graph import fuse_graph
 from repro.graph.partitioner import GraphPartitioner
 from repro.models import build_model
-from repro.nn import GraphExecutor, SegmentExecutor
-from repro.nn.plan import GraphPlan, PlanError
+from repro.nn import BACKENDS, GraphExecutor, SegmentExecutor
+from repro.nn.plan import GraphPlan, PlanError, SegmentPlan
 from repro.runtime.batching import BatchingConfig, DynamicBatcher, PendingRequest
 from repro.runtime.multi import FleetResult, MultiClientSystem
 from repro.runtime.system import OffloadingSystem, SystemConfig, Timeline
@@ -105,8 +105,47 @@ class TestBatchedSegments:
         plan = GraphPlan(graph, batch=2)
         with pytest.raises(ValueError):
             plan.run(sample_inputs(graph, 1)[0])  # batch-1 input into a batch-2 plan
-        with pytest.raises(PlanError):
-            GraphPlan(graph, batch=0)
+
+
+class TestArgumentChecks:
+    """A bad ``batch`` or ``backend`` is refused before any weight is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_parameters(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("parameters initialised before the argument check")
+
+        monkeypatch.setattr("repro.nn.executor.init_parameters", fail)
+        monkeypatch.setattr("repro.nn.plan.init_parameters", fail)
+
+    @pytest.fixture
+    def graph_and_tail(self):
+        graph = build_model("squeezenet")
+        return graph, GraphPartitioner(graph).partition(10).tail
+
+    @pytest.mark.parametrize("batch", [0, -2])
+    def test_executors_reject_batch(self, graph_and_tail, batch):
+        graph, tail = graph_and_tail
+        for backend in BACKENDS:
+            with pytest.raises(ValueError, match="batch must be >= 1"):
+                GraphExecutor(graph, backend=backend, batch=batch)
+            with pytest.raises(ValueError, match="batch must be >= 1"):
+                SegmentExecutor(tail, backend=backend, batch=batch)
+
+    @pytest.mark.parametrize("batch", [0, -2])
+    def test_plans_reject_batch(self, graph_and_tail, batch):
+        graph, tail = graph_and_tail
+        with pytest.raises(PlanError, match="batch must be >= 1"):
+            GraphPlan(graph, batch=batch)
+        with pytest.raises(PlanError, match="batch must be >= 1"):
+            SegmentPlan(tail, batch=batch)
+
+    def test_executors_reject_backend(self, graph_and_tail):
+        graph, tail = graph_and_tail
+        with pytest.raises(ValueError, match="backend must be one of"):
+            GraphExecutor(graph, backend="bogus")
+        with pytest.raises(ValueError, match="backend must be one of"):
+            SegmentExecutor(tail, backend="bogus")
 
 
 class TestBatchingConfig:
