@@ -56,9 +56,15 @@ def bench_model(model_name: str, repeats: int, seed: int = 0) -> dict:
     # naive executor pays the identical init), so compile_ms times only
     # what the planned backend adds: plan compilation + autotuning.
     params = init_parameters((graph.node(n) for n in graph.topological_order()), seed)
+    # The plan is built ``repeats`` times: the first build is the one run
+    # and described below, and compile_ms is the fastest build.
     t0 = time.perf_counter()
     plan = GraphPlan(graph, seed=seed, params=params)
     compile_s = time.perf_counter() - t0
+    for _ in range(repeats - 1):
+        t0 = time.perf_counter()
+        GraphPlan(graph, seed=seed, params=params)
+        compile_s = min(compile_s, time.perf_counter() - t0)
     naive = GraphExecutor(graph, seed=seed, params=plan.params)
     x = np.random.default_rng(1).standard_normal(graph.input_spec.shape).astype(np.float32)
 

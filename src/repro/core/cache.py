@@ -6,6 +6,12 @@ holding the partitioned computation graph and auxiliary structures.  Both
 the device and the server keep one.  With the cache, partition overhead
 amortises to ~1% of inference time over ~100 requests.
 
+Here the partitioned graphs themselves live in the engine's one
+:class:`~repro.graph.partitioner.GraphPartitioner`, which builds each
+point once; :class:`PartitionCache` simulates the §III-A cache over it,
+keeping the LRU and hit/miss bookkeeping that decides when the partition
+overhead is charged.
+
 The runtime prepared for a subgraph is a compiled executor;
 :class:`CompileOnceCache` holds those (the server keys them by graph,
 point and batch size) and builds each key's executor exactly once.
@@ -21,14 +27,19 @@ from repro.graph.partitioner import GraphPartitioner, PartitionedGraph
 
 
 class PartitionCache:
-    """LRU cache: partition point -> :class:`PartitionedGraph`.
+    """The §III-A LRU cache of partition points over a shared partitioner.
+
+    It remembers which points it holds, in LRU order, and counts hits and
+    misses; the :class:`PartitionedGraph` itself comes from the
+    partitioner, which builds each point once for every cache over it.
+    A miss is what the runtime charges the partition overhead on, so two
+    caches over one partitioner (a device and a server) miss separately,
+    and a cleared cache (a restarted server) misses again.
 
     Thread-safe: threads sharing one device or server (for instance the
     builders of its :class:`CompileOnceCache`) can look up partitions
     concurrently, and an ``OrderedDict`` mid ``move_to_end``/``popitem``
-    must never be observed torn.  Partitioning the same point twice under
-    a race is harmless (the result is deterministic), so the lock only
-    guards the bookkeeping.
+    must never be observed torn.
     """
 
     def __init__(self, partitioner: GraphPartitioner, capacity: int = 32) -> None:
@@ -36,32 +47,32 @@ class PartitionCache:
             raise ValueError("capacity must be >= 1")
         self._partitioner = partitioner
         self._capacity = capacity
-        self._entries: "OrderedDict[int, PartitionedGraph]" = OrderedDict()
+        self._points: "OrderedDict[int, None]" = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
 
     def get(self, point: int) -> PartitionedGraph:
-        """Fetch the partition for ``point``, building it on a miss."""
+        """Fetch the partition for ``point``, counting a hit or a miss."""
         with self._lock:
-            if point in self._entries:
+            if point in self._points:
                 self.hits += 1
-                self._entries.move_to_end(point)
-                return self._entries[point]
+                self._points.move_to_end(point)
+                return self._partitioner.partition(point)
             self.misses += 1
             partitioned = self._partitioner.partition(point)
-            self._entries[point] = partitioned
-            if len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
+            self._points[point] = None
+            if len(self._points) > self._capacity:
+                self._points.popitem(last=False)
             return partitioned
 
     def __contains__(self, point: int) -> bool:
         with self._lock:
-            return point in self._entries
+            return point in self._points
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._points)
 
     @property
     def hit_rate(self) -> float:
@@ -71,7 +82,7 @@ class PartitionCache:
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
+            self._points.clear()
             self.hits = 0
             self.misses = 0
 

@@ -59,6 +59,7 @@ from repro.core.partition_algorithm import (
 )
 from repro.graph.exits import ExitBranch, validate_exits
 from repro.graph.graph import ComputationGraph
+from repro.graph.partitioner import GraphPartitioner
 from repro.profiling.features import NodeProfile, profile_graph
 from repro.profiling.predictor import LatencyPredictor
 
@@ -219,13 +220,16 @@ class LoADPartEngine:
             raise ValueError("user_predictor must be the 'device' side")
         if edge_predictor.side != "edge":
             raise ValueError("edge_predictor must be the 'edge' side")
-        graph.validate()
+        #: The graph's one partitioner (it validates the graph).  Every
+        #: device's and server's partition cache draws from it, so each
+        #: point is partitioned once per engine.
+        self.partitioner = GraphPartitioner(graph)
         self.graph = graph
         self.upload_codec = upload_codec
         self.profiles: List[NodeProfile] = profile_graph(graph)
         self.device_times = user_predictor.predict_nodes(self.profiles)
         self.edge_times = edge_predictor.predict_nodes(self.profiles)
-        self._cuts = graph.cuts()
+        self._cuts = self.partitioner.cuts
         sizes = [cut.upload_bytes for cut in self._cuts]
         if upload_codec is not None:
             # Compressed uploads (codec extension): the decision sees the

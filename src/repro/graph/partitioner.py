@@ -12,15 +12,27 @@ a named boundary input with the predecessor's TensorSpec).  If more than one
 tensor leaves a segment, a ``MakeTuple`` node is synthesised and linked to a
 ``Return`` node; otherwise the single leaving tensor feeds ``Return``
 directly.
+
+A partitioner builds each point's partition once and hands the same
+object to every later caller: a :class:`PartitionedGraph` and its
+segments are never modified after they are built, so a segment works out
+its emptiness and result size once, on first use.  The per-device and
+per-server :class:`~repro.core.cache.PartitionCache` instances keep
+their own LRU and hit/miss bookkeeping on top, which is what the
+simulated partition overhead is charged on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Tuple
 
-from repro.graph.graph import ComputationGraph, GraphError
+from repro.graph.graph import ComputationGraph, Cut, GraphError
 from repro.graph.node import CNode, TensorSpec
+
+#: Ops the partitioner synthesises around a segment's computation.
+SCAFFOLD_OPS = frozenset({"make_tuple", "return"})
 
 
 @dataclass
@@ -39,20 +51,20 @@ class Segment:
     nodes: List[CNode] = field(default_factory=list)
     result_names: Tuple[str, ...] = ()
 
-    @property
+    @cached_property
     def is_empty(self) -> bool:
-        return not any(n.op not in ("make_tuple", "return") for n in self.nodes)
+        return not any(n.op not in SCAFFOLD_OPS for n in self.nodes)
 
     @property
     def compute_nodes(self) -> List[CNode]:
         """Nodes excluding the synthesised MakeTuple/Return scaffolding."""
-        return [n for n in self.nodes if n.op not in ("make_tuple", "return")]
+        return [n for n in self.nodes if n.op not in SCAFFOLD_OPS]
 
     @property
     def has_make_tuple(self) -> bool:
         return any(n.op == "make_tuple" for n in self.nodes)
 
-    @property
+    @cached_property
     def result_bytes(self) -> int:
         specs = {name: spec for name, spec in self.boundary_inputs.items()}
         for node in self.compute_nodes:
@@ -100,17 +112,27 @@ def _finalise(segment: Segment, results: List[Tuple[str, TensorSpec]]) -> None:
 
 
 class GraphPartitioner:
-    """Splits computation graphs into device/server segments."""
+    """Splits computation graphs into device/server segments.
+
+    Each point is partitioned once; later calls return the same
+    :class:`PartitionedGraph`.
+    """
 
     def __init__(self, graph: ComputationGraph) -> None:
         graph.validate()
         self._graph = graph
         self._order = graph.topological_order()
         self._cuts = graph.cuts()
+        self._partitions: Dict[int, PartitionedGraph] = {}
 
     @property
     def graph(self) -> ComputationGraph:
         return self._graph
+
+    @property
+    def cuts(self) -> List[Cut]:
+        """The graph's cuts, positions ``0..n`` (see :meth:`ComputationGraph.cuts`)."""
+        return self._cuts
 
     @property
     def num_points(self) -> int:
@@ -119,6 +141,12 @@ class GraphPartitioner:
 
     def partition(self, p: int) -> PartitionedGraph:
         """Split after topological position ``p`` (0 = full offload, n = local)."""
+        partitioned = self._partitions.get(p)
+        if partitioned is None:
+            partitioned = self._partitions.setdefault(p, self._build(p))
+        return partitioned
+
+    def _build(self, p: int) -> PartitionedGraph:
         n = len(self._order)
         if not 0 <= p <= n:
             raise GraphError(f"partition point {p} out of range [0, {n}]")

@@ -29,15 +29,20 @@ from repro.hardware.background import IDLE, LoadLevel
 from repro.hardware.specs import GPU_TIME_SLICE_S
 
 
+def _lognormal_params(mean: float, cv: float) -> tuple[float, float]:
+    """``(mu, sigma)`` of the lognormal with the given mean and coefficient of variation."""
+    sigma2 = math.log(1.0 + cv * cv)
+    return math.log(mean) - 0.5 * sigma2, math.sqrt(sigma2)
+
+
 def _lognormal(rng: np.random.Generator, mean: float, cv: float) -> float:
     """Sample a lognormal with the given mean and coefficient of variation."""
     if mean <= 0:
         return 0.0
     if cv <= 0:
         return mean
-    sigma2 = math.log(1.0 + cv * cv)
-    mu = math.log(mean) - 0.5 * sigma2
-    return float(rng.lognormal(mean=mu, sigma=math.sqrt(sigma2)))
+    mu, sigma = _lognormal_params(mean, cv)
+    return float(rng.lognormal(mean=mu, sigma=sigma))
 
 
 class GpuScheduler:
@@ -65,16 +70,34 @@ class GpuScheduler:
             return float(sum(kernel_times))
         if rng is None:
             raise ValueError("a Generator is required under non-zero load")
+        random = rng.random
         total = 0.0
-        if rng.random() < level.utilization**2:
+        if random() < level.utilization**2:
             total += _lognormal(rng, level.initial_wait_s, level.wait_cv)
-        slice_left = self.time_slice_s
-        for i, kt in enumerate(kernel_times):
-            forced_yield = slice_left <= 0.0
-            contended = i > 0 and rng.random() < level.contend_prob
-            if forced_yield or contended:
-                total += _lognormal(rng, level.wait_mean_s, level.wait_cv)
-                slice_left = self.time_slice_s
+        # The boundary wait's distribution is fixed for the whole call, so
+        # its parameters are worked out once, outside the per-kernel loop.
+        wait_mean, cv = level.wait_mean_s, level.wait_cv
+        lognormal = None
+        if wait_mean <= 0:
+            wait = 0.0
+        elif cv <= 0:
+            wait = wait_mean
+        else:
+            lognormal = rng.lognormal
+            mu, sigma = _lognormal_params(wait_mean, cv)
+        contend_prob = level.contend_prob
+        time_slice = self.time_slice_s
+        kernels = iter(kernel_times)
+        kt = next(kernels)
+        total += kt
+        slice_left = time_slice - kt
+        for kt in kernels:
+            # Each boundary draws its contention uniform first, also when
+            # the slice has run out and the yield is forced anyway.
+            if random() < contend_prob or slice_left <= 0.0:
+                total += (float(lognormal(mu, sigma)) if lognormal is not None
+                          else wait)
+                slice_left = time_slice
             total += kt
             slice_left -= kt
         return total

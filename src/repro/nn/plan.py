@@ -56,7 +56,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.graph.graph import ComputationGraph
 from repro.graph.node import CNode, TensorSpec
-from repro.graph.partitioner import Segment
+from repro.graph.partitioner import SCAFFOLD_OPS, Segment
 from repro.nn.executor import init_parameters
 from repro.nn.kernels import KERNELS, _PARAM_ARITY, _pair
 
@@ -79,9 +79,6 @@ _NUMPY_DTYPES = {
 
 #: Ops compiled away into views: their output shares the input's storage.
 _ALIAS_OPS = frozenset({"flatten", "dropout"})
-
-#: Segment scaffolding; carries no tensor work and is not compiled.
-_SCAFFOLD_OPS = frozenset({"make_tuple", "return"})
 
 #: Ops whose planned kernels may write their (same-shape) dying input.
 _INPLACE_OPS = frozenset(
@@ -633,7 +630,7 @@ class CompiledPlan:
 
     def _compile(self, nodes: List[CNode], external_specs: Dict[str, TensorSpec]) -> None:
         arena = self._arena
-        compute = [n for n in nodes if n.op not in _SCAFFOLD_OPS]
+        compute = [n for n in nodes if n.op not in SCAFFOLD_OPS]
 
         external_specs = {
             name: _batched_spec(spec, self.batch)

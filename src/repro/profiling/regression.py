@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 
 class NNLSModel:
@@ -42,6 +41,10 @@ class NNLSModel:
         # rescaled back, preserving non-negativity.
         scales = np.abs(X).max(axis=0)
         scales[scales == 0] = 1.0
+        # Imported here: SciPy costs half a second and ~45 MB to load, and
+        # only a process that fits a model needs it.
+        from scipy.optimize import nnls
+
         coef_scaled, _residual = nnls(X / scales, y)
         self.coef = coef_scaled / scales
         return self

@@ -19,16 +19,16 @@ and a stale load factor stops steering decisions after a TTL.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Protocol, Tuple
+from typing import Dict, NamedTuple, Protocol, Tuple
 
 import numpy as np
 
 from repro.core.cache import CompileOnceCache, PartitionCache
 from repro.core.engine import JointDecision, LoADPartEngine
 from repro.core.partition_algorithm import PartitionDecision
-from repro.graph.partitioner import GraphPartitioner, PartitionedGraph
+from repro.graph.partitioner import PartitionedGraph
 from repro.hardware.device_model import DeviceModel
 from repro.network.channel import Channel, StreamResult
 from repro.network.estimator import BandwidthEstimator
@@ -43,6 +43,24 @@ class DecisionPolicy(Protocol):
     """Pluggable decision strategies (LoADPart, Neurosurgeon, local, full)."""
 
     def decide(self, bandwidth_up: float, k: float = 1.0) -> PartitionDecision: ...
+
+
+class Attempt(NamedTuple):
+    """Where one attempt sits in its request: the fields its record takes
+    from the request rather than from the attempt's own stages.
+
+    ``start_s`` is when the request was issued, so the attempt's record
+    charges ``wasted_s = attempt start - start_s`` (timeouts waited out,
+    backoff, rejections) into its total; ``retries`` counts the offload
+    attempts before this one.  Should the attempt resolve locally, its
+    record carries ``timeout_s`` (the last offload attempt's deadline) and
+    ``status``; an offload that completes is ``retried`` after a retry.
+    """
+
+    start_s: float
+    retries: int = 0
+    timeout_s: float = 0.0
+    status: str = "ok"
 
 
 @dataclass
@@ -91,6 +109,9 @@ class PendingOffload:
     #: (``None``/``None`` on the classic full-network path).
     sla_s: float | None = None
     exit_index: int | None = None
+    #: The request this offload is an attempt of (``None``: a first
+    #: attempt, issued at ``start_s``).
+    attempt: Attempt | None = None
 
     @property
     def deadline_s(self) -> float:
@@ -151,7 +172,7 @@ class UserDevice:
             self.breaker = CircuitBreaker(
                 resilience.failure_threshold, resilience.cooldown_s
             )
-        self.cache = PartitionCache(GraphPartitioner(engine.graph))
+        self.cache = PartitionCache(engine.partitioner)
         self._rng = np.random.default_rng(seed)
         self._latest_k = 1.0
         self._k_time_s = -math.inf
@@ -263,8 +284,7 @@ class UserDevice:
             return self.cache
         cache = self._exit_caches.get(exit_index)
         if cache is None:
-            cache = PartitionCache(GraphPartitioner(
-                self.engine.exit_engine(exit_index).graph))
+            cache = PartitionCache(self.engine.exit_engine(exit_index).partitioner)
             self._exit_caches[exit_index] = cache
         return cache
 
@@ -282,15 +302,6 @@ class UserDevice:
             )
             self._exit_params[exit_index] = params
         return params
-
-    def _finalize_sla(self, record: InferenceRecord) -> InferenceRecord:
-        """Re-stamp ``met_sla`` after any adjustment to ``total_s``."""
-        if record.sla_s is None:
-            return record
-        met = record.completed and record.total_s <= record.sla_s
-        if met == record.met_sla:
-            return record
-        return replace(record, met_sla=met)
 
     # -- functional execution --------------------------------------------------
 
@@ -339,6 +350,7 @@ class UserDevice:
     def begin_inference(self, now_s: float, *, request_id: int | None = None,
                         force_local: bool = False,
                         sla_budget_s: float | None = None,
+                        attempt: Attempt | None = None,
                         ) -> InferenceRecord | PendingOffload:
         """Decide, run the head, and upload; stop short of the server call.
 
@@ -360,6 +372,11 @@ class UserDevice:
         have already burned part of the class SLA); ``None`` means the full
         class SLA :attr:`sla_s` — which is also ``None`` on SLA-free
         devices, reproducing the classic path verbatim.
+
+        ``attempt`` places a retry or a fallback in its request (``None``:
+        a first attempt issued at ``now_s``); the local record, or the
+        record :meth:`complete_inference` builds, takes its request-level
+        fields from it.
         """
         if request_id is None:
             self._request_seq += 1
@@ -411,10 +428,13 @@ class UserDevice:
             # Local inference: no network, no server involvement.
             if head_outputs is not None:
                 self.last_output = head_outputs[active.graph.output_name]
-            total = device_s + overhead
+            if attempt is None:
+                attempt = Attempt(now_s)
+            wasted = now_s - attempt.start_s
+            total = device_s + overhead + wasted
             return InferenceRecord(
                 request_id=request_id,
-                start_s=now_s,
+                start_s=attempt.start_s,
                 partition_point=point,
                 estimated_bandwidth_bps=bandwidth,
                 k_used=k,
@@ -427,6 +447,10 @@ class UserDevice:
                 load_level=self.server.load_schedule.level_at(now_s).name,
                 device_cache_hit=device_cache_hit,
                 server_cache_hit=True,
+                status=attempt.status,
+                retries=attempt.retries,
+                timeout_s=attempt.timeout_s,
+                wasted_s=wasted,
                 sla_s=self.sla_s,
                 exit_index=exit_index,
                 met_sla=(total <= self.sla_s
@@ -506,6 +530,7 @@ class UserDevice:
             arrivals=arrivals,
             sla_s=self.sla_s,
             exit_index=exit_index,
+            attempt=attempt,
         )
 
     def _stream_arrivals(self, point: int, codec_name: str,
@@ -609,6 +634,10 @@ class UserDevice:
                 else pending.head_outputs[out_name]  # output produced before the cut
             )
 
+        attempt = pending.attempt
+        if attempt is None:
+            attempt = Attempt(pending.start_s)
+        wasted = pending.start_s - attempt.start_s
         total = (
             pending.device_s
             + pending.encode_s
@@ -618,10 +647,11 @@ class UserDevice:
             + download_s
             + pending.overhead_s
             + reply.partition_overhead_s
+            + wasted
         )
         return InferenceRecord(
             request_id=pending.request_id,
-            start_s=pending.start_s,
+            start_s=attempt.start_s,
             partition_point=pending.partition_point,
             estimated_bandwidth_bps=pending.estimated_bandwidth_bps,
             k_used=pending.k_used,
@@ -636,11 +666,14 @@ class UserDevice:
             server_cache_hit=reply.cache_hit,
             server_queue_s=reply.queue_s,
             batch_size=reply.batch_size,
-            timeout_s=pending.timeout_s,
+            status="retried" if attempt.retries else "ok",
             codec=pending.codec,
             chunks=pending.chunks,
             encode_s=pending.encode_s,
             decode_s=pending.decode_s,
+            retries=attempt.retries,
+            timeout_s=pending.timeout_s,
+            wasted_s=wasted,
             server_id=self.server.server_id,
             sla_s=pending.sla_s,
             exit_index=pending.exit_index,
@@ -648,28 +681,21 @@ class UserDevice:
                      if pending.sla_s is not None else None),
         )
 
-    def fallback_record(self, request_id: int, start_s: float, now_s: float, *,
-                        retries: int = 0, timeout_s: float = 0.0,
+    def fallback_record(self, request_id: int | None, start_s: float, now_s: float,
+                        *, retries: int = 0, timeout_s: float = 0.0,
                         status: str = "fallback_local") -> InferenceRecord:
-        """Resolve a failed offload by running the whole model locally.
+        """Resolve a request by running the whole model locally at ``now_s``.
 
         ``now_s - start_s`` is the time already burned on the offload path
         (timeouts waited out, backoff, rejections); it lands in ``wasted_s``
-        and in the total, because the user experienced it.
+        and in the total, because the user experienced it.  A ``None``
+        ``request_id`` starts a new request (an open breaker's fallback).
         """
-        record = self.begin_inference(now_s, request_id=request_id,
-                                      force_local=True)
+        record = self.begin_inference(
+            now_s, request_id=request_id, force_local=True,
+            attempt=Attempt(start_s, retries, timeout_s, status))
         assert isinstance(record, InferenceRecord)
-        wasted = now_s - start_s
-        return self._finalize_sla(replace(
-            record,
-            start_s=start_s,
-            total_s=record.total_s + wasted,
-            wasted_s=wasted,
-            retries=retries,
-            timeout_s=timeout_s,
-            status=status,
-        ))
+        return record
 
     def request_inference(self, now_s: float) -> InferenceRecord:
         """Run one end-to-end inference starting at ``now_s``."""
@@ -710,32 +736,23 @@ class UserDevice:
         sla = self.sla_s
 
         if not breaker.allow_offload(clock):
-            record = self.begin_inference(clock, force_local=True)
-            assert isinstance(record, InferenceRecord)
-            return self._finalize_sla(replace(record, status="fallback_local"))
+            return self.fallback_record(None, clock, clock)
 
         while True:
             # Retries have already burned part of the class SLA; the
             # attempt's decision and deadline run on what is left.
             budget = None if sla is None else max(sla - (clock - now_s), 0.0)
+            attempt = None
+            if retries:
+                attempt = Attempt(now_s, retries, timeout_seen,
+                                  "rejected" if rejected else "fallback_local")
             pending = self.begin_inference(clock, request_id=request_id,
-                                           sla_budget_s=budget)
+                                           sla_budget_s=budget, attempt=attempt)
             if isinstance(pending, InferenceRecord):
                 # The decision itself chose local.  On the first attempt
                 # that is normal operation; after failures it is the
                 # degraded path (the failures fed the estimator/k).
-                if retries == 0:
-                    return pending
-                wasted = clock - now_s
-                return self._finalize_sla(replace(
-                    pending,
-                    start_s=now_s,
-                    total_s=pending.total_s + wasted,
-                    wasted_s=wasted,
-                    retries=retries,
-                    timeout_s=timeout_seen,
-                    status="rejected" if rejected else "fallback_local",
-                ))
+                return pending
             request_id = pending.request_id
             timeout_seen = pending.timeout_s
 
@@ -759,15 +776,7 @@ class UserDevice:
                         if record.status != "failed":
                             finish_s = pending.arrive_s + reply.server_exec_s
                             breaker.record_success(finish_s)
-                            wasted = clock - now_s
-                            return self._finalize_sla(replace(
-                                record,
-                                start_s=now_s,
-                                total_s=record.total_s + wasted,
-                                wasted_s=wasted,
-                                retries=retries,
-                                status="retried" if retries else "ok",
-                            ))
+                            return record
                     failed_at = pending.deadline_s
                 elif isinstance(reply, BusyReply):
                     # Fast shed: the rejection round-trips immediately; the

@@ -23,7 +23,6 @@ unissued request instead; then it drains in-flight batched requests.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
 from repro.runtime.batching import DynamicBatcher, PendingRequest
@@ -101,7 +100,12 @@ class Driver:
         # land shortly after the horizon).
         while self._in_flight > 0:
             loop.run_until(loop.now + max(cfg.batching.window_s, 1e-3))
-        return self._records
+        # An event left on the loop (a failed offload's fallback due after
+        # the drain, a stale batch timer) keeps this driver alive until the
+        # cyclic garbage collector runs; the records go to the caller
+        # instead of living on with it.
+        records, self._records = self._records, [[] for _ in self.clients]
+        return records
 
     # -- request events ----------------------------------------------------
 
@@ -138,9 +142,7 @@ class Driver:
     def _begin(self, i: int) -> None:
         loop, client = self.loop, self.clients[i]
         if client.breaker is not None and not client.breaker.allow_offload(loop.now):
-            record = client.begin_inference(loop.now, force_local=True)
-            assert isinstance(record, InferenceRecord)
-            self._finish(i, replace(record, status="fallback_local"))
+            self._finish(i, client.fallback_record(None, loop.now, loop.now))
             return
         pending = client.begin_inference(loop.now)
         if isinstance(pending, InferenceRecord):

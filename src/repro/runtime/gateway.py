@@ -46,7 +46,7 @@ from repro.core.engine import GridDecision, LoADPartEngine, ServerProfile
 from repro.network.channel import Channel, NetworkParams
 from repro.network.faults import ServerFaultPlan
 from repro.network.traces import BandwidthTrace, ConstantTrace
-from repro.runtime.client import UserDevice
+from repro.runtime.client import Attempt, UserDevice
 from repro.runtime.driver import Driver
 from repro.runtime.events import EventLoop
 from repro.runtime.messages import BusyReply, InferenceRecord
@@ -367,13 +367,15 @@ class GatewayDevice(UserDevice):
 
     def begin_inference(self, now_s: float, *, request_id: int | None = None,
                         force_local: bool = False,
-                        sla_budget_s: float | None = None):
+                        sla_budget_s: float | None = None,
+                        attempt: Attempt | None = None):
         self._now_s = now_s
         self._retrying = (request_id is not None
                           and request_id == self._routed_request_id)
         result = super().begin_inference(now_s, request_id=request_id,
                                          force_local=force_local,
-                                         sla_budget_s=sla_budget_s)
+                                         sla_budget_s=sla_budget_s,
+                                         attempt=attempt)
         if not force_local and not isinstance(result, InferenceRecord):
             self._routed_request_id = result.request_id
         return result

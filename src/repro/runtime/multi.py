@@ -49,27 +49,32 @@ from repro.runtime.system import (
 class SharedLoadTracker:
     """Sliding-window GPU busy-time tracker shared by all clients.
 
-    The utilisation is kept until the window changes (a record appended
-    or aged out), and then re-summed in full, so it never drifts from a
-    fresh sum.
+    The window is two parallel float deques (record time, busy time).  The
+    utilisation is kept until the window changes (a record appended or
+    aged out), and then re-summed in full, oldest first, so it never
+    drifts from a fresh sum.
     """
 
     def __init__(self, window_s: float = 3.0) -> None:
         if window_s <= 0:
             raise ValueError("window_s must be positive")
         self.window_s = window_s
-        self._busy: Deque[Tuple[float, float]] = deque()
+        self._times: Deque[float] = deque()
+        self._busy: Deque[float] = deque()
         self._util: float | None = None  # memo of utilization(); None = stale
 
     def record(self, time_s: float, busy_s: float) -> None:
         if busy_s < 0:
             raise ValueError("busy time must be non-negative")
-        self._busy.append((time_s, busy_s))
+        self._times.append(time_s)
+        self._busy.append(busy_s)
         self._util = None
         self._evict(time_s)
 
     def _evict(self, now_s: float) -> None:
-        while self._busy and self._busy[0][0] < now_s - self.window_s:
+        times = self._times
+        while times and times[0] < now_s - self.window_s:
+            times.popleft()
             self._busy.popleft()
             self._util = None
 
@@ -77,8 +82,7 @@ class SharedLoadTracker:
         """Fraction of the window the GPU spent on offloaded work (capped)."""
         self._evict(now_s)
         if self._util is None:
-            busy = sum(b for _, b in self._busy)
-            self._util = min(busy / self.window_s, 1.0)
+            self._util = min(sum(self._busy) / self.window_s, 1.0)
         return self._util
 
 

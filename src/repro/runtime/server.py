@@ -25,7 +25,6 @@ import numpy as np
 from repro.core.cache import CompileOnceCache, PartitionCache
 from repro.core.engine import LoADPartEngine
 from repro.core.load_factor import GpuWatchdog, LoadFactorMonitor
-from repro.graph.partitioner import GraphPartitioner
 from repro.hardware.background import IDLE, LoadSchedule
 from repro.hardware.gpu_model import GpuModel
 from repro.hardware.gpu_scheduler import GpuScheduler
@@ -80,7 +79,7 @@ class EdgeServer:
         self.scheduler = scheduler or GpuScheduler()
         self.monitor = LoadFactorMonitor(window_s=monitor_window_s)
         self.watchdog = GpuWatchdog(self.monitor, watchdog_threshold, watchdog_period_s)
-        self.cache = PartitionCache(GraphPartitioner(engine.graph))
+        self.cache = PartitionCache(engine.partitioner)
         self._rng = np.random.default_rng(seed)
         self.offload_count = 0
         self.fault_plan = fault_plan
@@ -119,8 +118,7 @@ class EdgeServer:
             return self.cache
         cache = self._exit_caches.get(exit_index)
         if cache is None:
-            cache = PartitionCache(GraphPartitioner(
-                self.engine.exit_engine(exit_index).graph))
+            cache = PartitionCache(self.engine.exit_engine(exit_index).partitioner)
             self._exit_caches[exit_index] = cache
         return cache
 

@@ -10,11 +10,15 @@ degenerate-identity pins elsewhere compare two paths that both run on
 the driver, so only this file catches a drift of the driver itself.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.network.faults import FaultPlan, ServerFaultPlan
 from repro.network.traces import ConstantTrace
+from repro.runtime.batching import BatchingConfig
 from repro.runtime.gateway import GatewayConfig, GatewayFleetSystem
 from repro.runtime.multi import MultiClientSystem
 from repro.runtime.resilience import ResilienceConfig
@@ -180,3 +184,21 @@ def test_run_ends_at_horizon(squeezenet_engine, build):
     system = build(squeezenet_engine)
     system.run(1.7)
     assert system.loop.now == 1.7
+
+
+def test_records_leave_with_the_caller(squeezenet_engine):
+    """A batched offload whose upload is lost resolves at its deadline,
+    which can fall after the run: that event keeps the driver alive until
+    the cyclic collector runs, and the records it returned must not wait
+    with it."""
+    system = MultiClientSystem(squeezenet_engine, 4, config=SystemConfig(
+        seed=2, batching=BatchingConfig(window_s=0.01),
+        resilience=ResilienceConfig(), faults=FaultPlan(drop_prob=0.3, seed=5)))
+    gc.disable()
+    try:
+        result = system.run(1.0)
+        record = weakref.ref(result.timelines[0].records[0])
+        del result, system
+        assert record() is None
+    finally:
+        gc.enable()

@@ -1,5 +1,9 @@
 """NNLS regression: the paper's fitting constraints."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -83,3 +87,23 @@ class TestSerialisation:
     def test_to_dict_before_fit(self):
         with pytest.raises(RuntimeError):
             NNLSModel(["a"]).to_dict()
+
+
+def test_scipy_loads_at_the_first_fit_only():
+    """Importing the package, or the TCP server's module, leaves SciPy's
+    solver unloaded; fitting a model loads it and still works."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, numpy as np, repro, repro.runtime.transport\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'\n"
+        "from repro.profiling.regression import NNLSModel\n"
+        "m = NNLSModel(['a', 'b']).fit(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),\n"
+        "                              np.array([2.0, 3.0, 5.0]))\n"
+        "assert np.allclose(m.coef, [2.0, 3.0])\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
