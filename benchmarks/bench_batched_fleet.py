@@ -156,12 +156,12 @@ def bench_fleet(duration_s: float = 4.0, clients: int = 24) -> dict:
         config = SystemConfig(seed=7, policy="full", batching=batching)
         system = MultiClientSystem(engine, clients, config=config)
         result = system.run(duration_s)
-        records = [r for t in result.timelines for r in t]
+        records = result.records
         out[label] = {
-            "requests": result.total_requests,
-            "requests_per_s": round(result.total_requests / duration_s, 2),
-            "mean_latency_ms": round(result.mean_latency * 1e3, 2),
-            "p95_latency_ms": round(result.p95_latency * 1e3, 2),
+            "requests": len(records),
+            "requests_per_s": round(len(records) / duration_s, 2),
+            "mean_latency_ms": round(result.mean_latency() * 1e3, 2),
+            "p95_latency_ms": round(result.percentile_latency(95) * 1e3, 2),
             "gpu_utilization": round(system.tracker.utilization(duration_s), 3),
             "mean_batch_size": round(
                 float(np.mean([r.batch_size for r in records])), 2) if records else None,

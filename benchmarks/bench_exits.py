@@ -49,32 +49,27 @@ IDENTITY_CLIENTS = 3
 IDENTITY_DURATION_S = 2.0
 
 
-def _class_row(records, accuracy_of) -> dict:
-    completed = [r for r in records if r.completed]
-    lat = np.array([r.total_s for r in completed])
-    exits: dict = {}
-    for r in records:
-        key = "full" if r.exit_index is None else str(r.exit_index)
-        exits[key] = exits.get(key, 0) + 1
+def _class_row(timeline, accuracy_of) -> dict:
+    completed = timeline.completed
     accs = [accuracy_of(r.exit_index) for r in completed]
     return {
-        "issued": len(records),
+        "issued": len(timeline),
         "completed": len(completed),
-        "attainment": (round(sum(1 for r in records if r.met_sla)
-                             / len(records), 4) if records else None),
-        "mean_ms": round(float(lat.mean()) * 1e3, 2) if len(lat) else None,
-        "p95_ms": round(float(np.percentile(lat, 95)) * 1e3, 2)
-        if len(lat) else None,
+        "attainment": round(timeline.sla_attainment(), 4) if len(timeline) else None,
+        "mean_ms": round(completed.mean_latency() * 1e3, 2) if len(completed) else None,
+        "p95_ms": (round(completed.percentile_latency(95) * 1e3, 2)
+                   if len(completed) else None),
         "mean_accuracy": round(float(np.mean(accs)), 4) if accs else None,
         "min_accuracy": round(float(np.min(accs)), 4) if accs else None,
-        "exit_counts": exits,
+        "exit_counts": {"full" if e is None else str(e): n
+                        for e, n in timeline.exit_counts().items()},
     }
 
 
 def run_arm(engine, accuracy_of, seed: int, duration_s: float) -> dict:
     from repro.network.traces import ConstantTrace
     from repro.runtime.multi import MultiClientSystem
-    from repro.runtime.system import SystemConfig
+    from repro.runtime.system import SystemConfig, Timeline
 
     config = SystemConfig(
         seed=seed,
@@ -84,14 +79,13 @@ def run_arm(engine, accuracy_of, seed: int, duration_s: float) -> dict:
     result = MultiClientSystem(
         engine, CLIENTS, bandwidth_trace=ConstantTrace(BANDWIDTH_BPS),
         config=config).run(duration_s)
-    records = [r for t in result.timelines for r in t]
     return {
         "overall_attainment": round(result.sla_attainment(), 4),
         "strict": _class_row(
-            [r for r in records if r.sla_s == SLA_STRICT_S], accuracy_of),
+            Timeline([r for r in result if r.sla_s == SLA_STRICT_S]), accuracy_of),
         "slack": _class_row(
-            [r for r in records if r.sla_s == SLA_SLACK_S], accuracy_of),
-        "records_digest": records_digest(records),
+            Timeline([r for r in result if r.sla_s == SLA_SLACK_S]), accuracy_of),
+        "records_digest": records_digest(result),
     }
 
 
@@ -106,8 +100,7 @@ def check_degenerate_identity(plain_engine, exit_engine, seed: int) -> bool:
         plain_engine, IDENTITY_CLIENTS, config=config).run(IDENTITY_DURATION_S)
     degen = MultiClientSystem(
         exit_engine, IDENTITY_CLIENTS, config=config).run(IDENTITY_DURATION_S)
-    return all(tb.records == td.records
-               for tb, td in zip(base.timelines, degen.timelines))
+    return base.records == degen.records
 
 
 def main(argv=None) -> int:

@@ -36,10 +36,10 @@ def test_fleet_self_stabilisation(benchmark, engine, save_report):
             lp, bl = stats["loadpart"], stats["neurosurgeon"]
             rows.append(
                 (num_clients,
-                 f"{lp.mean_latency * 1e3:.0f}", f"{bl.mean_latency * 1e3:.0f}",
-                 f"{(1 - lp.mean_latency / bl.mean_latency) * 100:.0f}%",
-                 f"{lp.local_fraction * 100:.0f}%", f"{bl.local_fraction * 100:.0f}%",
-                 f"{lp.total_requests}", f"{bl.total_requests}")
+                 f"{lp.mean_latency() * 1e3:.0f}", f"{bl.mean_latency() * 1e3:.0f}",
+                 f"{(1 - lp.mean_latency() / bl.mean_latency()) * 100:.0f}%",
+                 f"{lp.local_fraction() * 100:.0f}%", f"{bl.local_fraction() * 100:.0f}%",
+                 f"{len(lp)}", f"{len(bl)}")
             )
         return rows
 

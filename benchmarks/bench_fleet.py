@@ -58,38 +58,40 @@ IDENTITY_DURATION_S = 2.0
 
 
 def _summarise(result, duration_s: float) -> dict:
-    records = [r for t in result.timelines for r in t]
-    issued = len(records)
-    completed = [r for r in records if r.completed]
-    lat = np.array([r.total_s for r in completed])
+    issued = len(result)
+    completed = result.completed
     return {
         "issued": issued,
         "completed": len(completed),
-        "availability": round(len(completed) / issued, 4) if issued else None,
-        "mean_ms": round(float(lat.mean()) * 1e3, 2) if len(lat) else None,
-        "p95_ms": round(float(np.percentile(lat, 95)) * 1e3, 2) if len(lat) else None,
+        "availability": round(result.availability(), 4) if issued else None,
+        "mean_ms": round(completed.mean_latency() * 1e3, 2) if len(completed) else None,
+        "p95_ms": (round(completed.percentile_latency(95) * 1e3, 2)
+                   if len(completed) else None),
         "throughput_rps": round(len(completed) / duration_s, 2),
-        "local_fraction": round(result.local_fraction, 4),
-        "stalled_clients": sum(
-            1 for t in result.timelines if any(not r.completed for r in t)),
-        "records_digest": records_digest(records),
+        "local_fraction": round(result.local_fraction(), 4),
+        "stalled_clients": sum(1 for t in result.timelines if t.availability() < 1.0),
+        "records_digest": records_digest(result),
     }
 
 
-def _breakdown(result) -> list:
+def _breakdown(result, num_servers: int) -> list:
+    """One row per server, over the requests whose final attempt it served.
+
+    Fallbacks and rejections resolve on the local path, whose records
+    carry no ``server_id``, so no row can count them.
+    """
     rows = []
-    for s in result.server_breakdown():
+    for sid in range(num_servers):
+        served = result.for_server(sid)
+        completed = served.completed
         rows.append({
-            "server_id": s.server_id,
-            "requests": s.requests,
-            "completed": s.completed,
-            "availability": None if np.isnan(s.availability)
-            else round(s.availability, 4),
-            "p95_ms": None if np.isnan(s.p95_latency)
-            else round(s.p95_latency * 1e3, 2),
-            "rejected": s.rejected,
-            "failed": s.failed,
-            "fallbacks": s.fallbacks,
+            "server_id": sid,
+            "requests": len(served),
+            "completed": len(completed),
+            "availability": round(served.availability(), 4) if len(served) else None,
+            "p95_ms": (round(completed.percentile_latency(95) * 1e3, 2)
+                       if len(completed) else None),
+            "failed": sum(1 for r in served if r.status == "failed"),
         })
     return rows
 
@@ -136,7 +138,7 @@ def run_fleet(engine, seed: int, duration_s: float, num_servers: int) -> dict:
     )
     result = system.run(duration_s)
     summary = _summarise(result, duration_s)
-    summary["servers"] = _breakdown(result)
+    summary["servers"] = _breakdown(result, len(system.servers))
     summary["rejected_at_gateway"] = system.gateway.rejected_count
     summary["restarts_seen"] = {
         sid: h.restarts_seen for sid, h in system.supervisor.health.items()}
@@ -207,7 +209,7 @@ def run_hetero(engine, edge_predictor, seed: int, duration_s: float,
     )
     result = system.run(duration_s)
     summary = _summarise(result, duration_s)
-    summary["servers"] = _breakdown(result)
+    summary["servers"] = _breakdown(result, len(system.servers))
     summary["routed_counts"] = dict(system.gateway.routed_counts)
     summary["learned_link_latency_s"] = {
         sid: round(system.supervisor.latency_for(sid), 5)
@@ -227,8 +229,7 @@ def check_degenerate_identity(engine, seed: int) -> bool:
     degen = GatewayFleetSystem(
         engine, IDENTITY_CLIENTS, num_servers=1, config=config,
         gateway_config=GatewayConfig(probes=None)).run(IDENTITY_DURATION_S)
-    return all(td.records == tg.records
-               for td, tg in zip(direct.timelines, degen.timelines))
+    return direct.records == degen.records
 
 
 def main(argv=None) -> int:

@@ -63,27 +63,26 @@ def _scenarios():
     }
 
 
-def _summarise(records, duration_s: float) -> dict:
+def _summarise(timeline, duration_s: float) -> dict:
+    records = timeline.records
     issued = len(records)
-    completed = [r for r in records if r.completed]
-    lat = np.array([r.total_s for r in completed])
+    completed = timeline.completed
     statuses: dict = {}
     for r in records:
         statuses[r.status] = statuses.get(r.status, 0) + 1
-    stalled = any(not r.completed for r in records)
     return {
         "issued": issued,
         "completed": len(completed),
-        "availability": round(len(completed) / issued, 4) if issued else None,
-        "fallback_rate": round(
-            sum(1 for r in records if r.fell_back) / issued, 4) if issued else None,
+        "availability": round(timeline.availability(), 4) if issued else None,
+        "fallback_rate": round(timeline.fallback_rate(), 4) if issued else None,
         "retries_per_request": round(
             sum(r.retries for r in records) / issued, 4) if issued else None,
-        "mean_ms": round(float(lat.mean()) * 1e3, 2) if len(lat) else None,
-        "p95_ms": round(float(np.percentile(lat, 95)) * 1e3, 2) if len(lat) else None,
+        "mean_ms": round(completed.mean_latency() * 1e3, 2) if len(completed) else None,
+        "p95_ms": (round(completed.percentile_latency(95) * 1e3, 2)
+                   if len(completed) else None),
         "throughput_rps": round(len(completed) / duration_s, 2),
         "statuses": statuses,
-        "stalled": stalled,
+        "stalled": len(completed) < issued,
         "records_digest": records_digest(records),
     }
 
@@ -92,8 +91,7 @@ def run_single(engine, scenario: dict, resilience, seed: int, duration_s: float)
     from repro.runtime.system import OffloadingSystem, SystemConfig
 
     config = SystemConfig(seed=seed, resilience=resilience, **scenario)
-    timeline = OffloadingSystem(engine, config=config).run(duration_s)
-    return list(timeline)
+    return OffloadingSystem(engine, config=config).run(duration_s)
 
 
 def run_fleet(engine, scenario: dict, resilience, seed: int, duration_s: float):
@@ -104,8 +102,7 @@ def run_fleet(engine, scenario: dict, resilience, seed: int, duration_s: float):
     # admission is actually contended.
     config = SystemConfig(seed=seed, policy="full", resilience=resilience,
                           **scenario)
-    result = MultiClientSystem(engine, OVERLOAD_CLIENTS, config=config).run(duration_s)
-    return [r for t in result.timelines for r in t]
+    return MultiClientSystem(engine, OVERLOAD_CLIENTS, config=config).run(duration_s)
 
 
 def main(argv=None) -> int:
@@ -132,8 +129,8 @@ def main(argv=None) -> int:
         runner = run_fleet if fleet else run_single
         arms = {}
         for arm, cfg in (("naive", None), ("resilient", resilience)):
-            records = runner(engine, scenario, cfg, args.seed, duration)
-            arms[arm] = _summarise(records, duration)
+            arms[arm] = _summarise(runner(engine, scenario, cfg, args.seed, duration),
+                                   duration)
         results.append({"scenario": name, "duration_s": duration,
                         "clients": OVERLOAD_CLIENTS if fleet else 1,
                         "arms": arms})

@@ -4,7 +4,8 @@ The profiled-model fixtures live here (instead of per-directory copies) and
 route through :mod:`repro.experiments.context`, whose builders are
 ``lru_cache``'d per (samples, seed): one offline-profiler run and one
 engine per model serve the whole process — unit tests and the benchmark
-suite alike.
+suite alike.  Exit-carrying engines, which only tests use, are built here
+on the same predictors, once per family.
 """
 
 from __future__ import annotations
@@ -41,9 +42,18 @@ def squeezenet_engine(engine_for):
 @pytest.fixture(scope="session")
 def exit_engine_for(trained_report):
     """Factory fixture: a cached exit-carrying engine for any exit family."""
-    from repro.experiments.context import default_exit_engine
+    from functools import cache
 
-    return lambda model: default_exit_engine(model)
+    from repro.core.engine import LoADPartEngine
+    from repro.models import build_exit_model
+
+    @cache
+    def build(model):
+        graph, branches = build_exit_model(model)
+        return LoADPartEngine(graph, trained_report.user_predictor,
+                              trained_report.edge_predictor, exits=branches)
+
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -31,10 +31,9 @@ SLA_SLACK_S = 0.35
 def run(engine):
     config = SystemConfig(seed=7, think_time_s=0.1,
                           sla_classes=(SLA_STRICT_S, SLA_SLACK_S))
-    result = MultiClientSystem(engine, CLIENTS,
-                               bandwidth_trace=ConstantTrace(BANDWIDTH_BPS),
-                               config=config).run(DURATION_S)
-    return [r for t in result.timelines for r in t]
+    return MultiClientSystem(engine, CLIENTS,
+                             bandwidth_trace=ConstantTrace(BANDWIDTH_BPS),
+                             config=config).run(DURATION_S)
 
 
 def describe(label, records, accuracy_of):

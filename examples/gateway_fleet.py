@@ -89,17 +89,19 @@ def run_heterogeneous(engine, edge_predictor):
 
 
 def describe(label: str, system, result) -> None:
-    records = [r for t in result.timelines for r in t]
-    completed = sum(1 for r in records if r.completed)
-    print(f"\n{label}: {len(records)} requests, "
-          f"availability {completed / len(records):.1%}, "
-          f"local fraction {result.local_fraction:.1%}, "
-          f"p95 {result.p95_latency * 1e3:.1f} ms")
+    print(f"\n{label}: {len(result)} requests, "
+          f"availability {result.availability():.1%}, "
+          f"local fraction {result.local_fraction():.1%}, "
+          f"p95 {result.percentile_latency(95) * 1e3:.1f} ms")
     print("  server   requests   completed   p95(ms)   failed")
-    for s in result.server_breakdown():
-        p95 = f"{s.p95_latency * 1e3:7.1f}" if s.completed else "      -"
-        print(f"  {s.server_id:>6}   {s.requests:8d}   {s.completed:9d}   "
-              f"{p95}   {s.failed:6d}")
+    for sid in range(len(system.servers)):
+        served = result.for_server(sid)
+        completed = served.completed
+        p95 = (f"{completed.percentile_latency(95) * 1e3:7.1f}" if len(completed)
+               else "      -")
+        failed = sum(1 for r in served if r.status == "failed")
+        print(f"  {sid:>6}   {len(served):8d}   {len(completed):9d}   "
+              f"{p95}   {failed:6d}")
     restarts = {sid: h.restarts_seen for sid, h in system.supervisor.health.items()}
     print(f"  restarts seen by the supervisor: {restarts}")
 

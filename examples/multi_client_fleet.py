@@ -30,10 +30,10 @@ def main() -> None:
             )
             result = system.run(40.0)
             print(f"{num_clients:>10}   {policy:<12}  "
-                  f"{result.mean_latency * 1e3:8.1f}   "
-                  f"{result.p95_latency * 1e3:7.1f}   "
-                  f"{result.local_fraction * 100:5.1f}%   "
-                  f"{result.total_requests:8d}")
+                  f"{result.mean_latency() * 1e3:8.1f}   "
+                  f"{result.percentile_latency(95) * 1e3:7.1f}   "
+                  f"{result.local_fraction() * 100:5.1f}%   "
+                  f"{len(result):8d}")
 
     print("\nLoad-aware clients shed load to their own CPUs once the shared GPU")
     print("saturates; the oblivious fleet keeps offloading into the queue.")

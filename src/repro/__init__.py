@@ -55,7 +55,7 @@ from repro.hardware import (
     LoadSchedule,
     fig9_schedule,
 )
-from repro.models import EVALUATED_MODELS, build_model, get_model, list_models
+from repro.models import EVALUATED_MODELS, build_model, list_models
 from repro.network import BandwidthEstimator, Channel, ConstantTrace, StepTrace, TensorCodec, fig6_trace
 from repro.nn import BACKENDS, GraphExecutor, GraphPlan, SegmentExecutor, SegmentPlan
 from repro.profiling import LatencyPredictor, OfflineProfiler
@@ -106,7 +106,6 @@ __all__ = [
     "dads_min_cut",
     "fig6_trace",
     "fig9_schedule",
-    "get_model",
     "graph_from_json",
     "graph_to_json",
     "list_models",

@@ -25,13 +25,7 @@ from repro.core.baselines import (
 )
 from repro.core.blocks import BlockCutReport, block_cut_report, candidate_points
 from repro.core.cache import PartitionCache
-from repro.core.engine import (
-    GridDecision,
-    LoADPartEngine,
-    ServerProfile,
-    exit_fleet_brute_force,
-    fleet_objective,
-)
+from repro.core.engine import GridDecision, LoADPartEngine, ServerProfile
 from repro.core.load_factor import GpuWatchdog, LoadFactorMonitor
 from repro.core.multi_tier import MultiTierDecision, multi_tier_decision
 from repro.core.partition_algorithm import PartitionDecision, partition_decision
@@ -53,8 +47,6 @@ __all__ = [
     "block_cut_report",
     "candidate_points",
     "dads_min_cut",
-    "exit_fleet_brute_force",
-    "fleet_objective",
     "multi_tier_decision",
     "partition_decision",
 ]

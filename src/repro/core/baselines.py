@@ -80,11 +80,6 @@ class MinCutResult:
     device_nodes: FrozenSet[str]
     latency: float
 
-    def matches_prefix(self, order: Sequence[str]) -> int | None:
-        """If the cut is a topological prefix, return its partition point."""
-        p = len(self.device_nodes)
-        return p if set(order[:p]) == set(self.device_nodes) else None
-
 
 def dads_min_cut(
     graph: ComputationGraph,

@@ -38,13 +38,6 @@ class BlockCutReport:
     #: inside-block position (bytes)
     min_width1_cut_bytes: int
 
-    @property
-    def inside_cuts_beat_input(self) -> bool:
-        """True if some inside-block cut transmits less than the input."""
-        if self.min_multi_cut_bytes is None:
-            return False
-        return self.min_multi_cut_bytes < self.input_bytes
-
 
 def candidate_points(graph: ComputationGraph) -> List[int]:
     """Partition points worth searching: width-1 cuts plus the endpoints.

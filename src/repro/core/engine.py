@@ -390,8 +390,9 @@ class LoADPartEngine:
         Returns the allowed server indices, ascending, and for each one
         its upload bandwidth (a ``None`` entry falls back to the profile's
         prior), load factor, link penalty (defaulting to the profile's
-        link position) and profile.  :func:`exit_fleet_brute_force` calls
-        this too, so the reference cannot diverge on resolution rules.
+        link position) and profile.  The scalar reference in the tests
+        (``exit_fleet_brute_force``) calls this too, so it cannot diverge
+        on resolution rules.
         """
         if sla_s is not None and (not math.isfinite(sla_s) or sla_s <= 0):
             raise ValueError(f"sla_s must be positive and finite, got {sla_s}")
@@ -843,11 +844,6 @@ class LoADPartEngine:
 
     # -- component predictions, used by the runtime and the experiments -----
 
-    def predicted_device_time(self, point: int) -> float:
-        """Predicted device time of the head (positions 1..point)."""
-        self._check_point(point)
-        return float(self._prefix[point])
-
     def predicted_server_time(
         self, point: int, k: float = 1.0,
         profile: ServerProfile | None = None,
@@ -891,132 +887,3 @@ class LoADPartEngine:
         if not 0 <= point <= self.num_nodes:
             raise ValueError(f"partition point {point} out of range [0, {self.num_nodes}]")
 
-
-# -- differential references for the decision grid --------------------------
-#
-# ``decide_exit_fleet`` must agree with these two independent
-# implementations: ``fleet_objective`` restates Problem (1) for a single
-# ``(point, server)`` pair by direct summation (no prefix/suffix arrays —
-# numerically close, not bit-equal), and ``exit_fleet_brute_force``
-# enumerates every ``(exit, server, point)`` triple with the scalar mirror
-# of ``partition_decision``'s vector arithmetic (bit-equal).
-
-
-def fleet_objective(
-    engine: LoADPartEngine,
-    point: int,
-    bandwidth_up: float,
-    k: float = 1.0,
-    extra_latency_s: float = 0.0,
-    bandwidth_down: float | None = None,
-    profile: ServerProfile | None = None,
-) -> float:
-    """Problem (1) for one ``(point, server)`` candidate, summed directly.
-
-    Deliberately avoids the engine's precomputed arrays: the device head
-    and server tail are plain Python sums over the predictor outputs, so
-    a bookkeeping bug in the prefix/suffix indexing cannot hide in both
-    implementations at once.  Compare with ``isclose`` — summation order
-    differs from the cumsum by design.
-    """
-    engine._check_point(point)
-    device = sum(float(t) for t in engine.device_times[:point])
-    if profile is not None and profile.edge_predictor is not None:
-        edge_times = profile.edge_predictor.predict_nodes(engine.profiles)
-    else:
-        edge_times = engine.edge_times
-    total = device + k * sum(float(t) for t in edge_times[point:])
-    if point < engine.num_nodes:
-        total += engine.sizes[point] * 8 / bandwidth_up + extra_latency_s
-        if bandwidth_down is not None:
-            total += engine.output_bytes * 8 / bandwidth_down
-    return total
-
-
-def exit_fleet_brute_force(
-    engine: LoADPartEngine,
-    sla_s: float | None,
-    bandwidths_up: Sequence[float | None],
-    ks: Sequence[float],
-    extra_latencies_s: Sequence[float] | None = None,
-    bandwidth_down: float | None = None,
-    allowed: Sequence[int] | None = None,
-    offload_only: bool = False,
-    profiles: Sequence[ServerProfile | None] | None = None,
-) -> GridDecision:
-    """Exhaustive ``(exit, server, point)`` reference for the decision grid.
-
-    Every row is enumerated point by point on its exit sub-engine's own
-    prefix and suffix arrays, with explicit scalar loops that mirror
-    ``partition_decision``'s vector arithmetic operation for operation
-    (same IEEE-754 evaluation order).  The axes are resolved by explicit
-    loops too: ``<=`` forward over points (latest minimiser), strict
-    ``<`` forward over servers (earliest), backward over exits for the
-    latest feasible one and strict ``<`` forward for the fastest.  Every
-    field and every row must match ``decide_exit_fleet`` *bitwise*.
-    """
-    servers, bandwidths, row_ks, extras, row_profiles = engine._resolve_fleet(
-        sla_s, bandwidths_up, ks, extra_latencies_s, bandwidth_down, allowed,
-        profiles)
-    last = engine.num_exits - 1
-    exits = (last,) if sla_s is None else tuple(range(last + 1))
-    row_points = np.zeros((len(exits), len(servers)), dtype=np.intp)
-    row_latencies = np.zeros((len(exits), len(servers)))
-    candidates = []
-    per_exit = []  # (latency, point, server) of each exit's best row
-    for i, e in enumerate(exits):
-        sub = engine.exit_engine(e)
-        n = sub.num_nodes
-        prefix = sub._prefix
-        download = 0.0
-        if bandwidth_down is not None:
-            download = sub.output_bytes * 8 / bandwidth_down
-        vals = np.empty((len(servers), n + 1))
-        best_value, best_server, best_point = math.inf, None, n
-        for j, s in enumerate(servers):
-            suffix = sub._suffix_for(row_profiles[j])
-            sp, sv = 0, math.inf
-            for p in range(n + 1):
-                c = prefix[p] + row_ks[j] * suffix[p]
-                if p < n:
-                    c = c + (sub.sizes[p] * 8 / bandwidths[j] + download
-                             + extras[j])
-                vals[j, p] = c
-                if (p < n or not offload_only) and c <= sv:
-                    sp, sv = p, c
-            row_points[i, j] = sp
-            row_latencies[i, j] = sv
-            if sv < best_value:
-                best_value, best_server, best_point = sv, s, sp
-        if best_server is None or best_point == n:
-            best_value, best_server, best_point = prefix[n], None, n
-        candidates.append(vals)
-        per_exit.append((float(best_value), best_point, best_server))
-
-    chosen, feasible = len(exits) - 1, True
-    if sla_s is not None:
-        for i in range(len(exits) - 1, -1, -1):
-            if per_exit[i][0] <= sla_s:
-                chosen = i
-                break
-        else:
-            feasible = False
-            chosen = 0
-            for i in range(1, len(exits)):
-                if per_exit[i][0] < per_exit[chosen][0]:
-                    chosen = i
-    latency, point, server = per_exit[chosen]
-    return GridDecision(
-        exit_index=exits[chosen],
-        point=point,
-        server=server,
-        predicted_latency=latency,
-        accuracy=engine.exit_accuracy(exits[chosen]),
-        sla_s=sla_s,
-        feasible=feasible,
-        exits=exits,
-        servers=tuple(servers),
-        row_points=row_points,
-        row_latencies=row_latencies,
-        candidates=tuple(candidates),
-    )

@@ -16,7 +16,6 @@ GPU is underutilised, so the device learns the server has recovered.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Deque, Tuple
 
@@ -67,17 +66,6 @@ class LoadFactorMonitor:
     @property
     def sample_count(self) -> int:
         return len(self._records)
-
-    def age_s(self, now_s: float) -> float:
-        """Seconds since the newest observation (``inf`` when empty).
-
-        The fleet supervisor uses this as a freshness signal: a server
-        whose window went silent stopped receiving offloads — its ``k``
-        reflects history, not the present.
-        """
-        if not self._records:
-            return math.inf
-        return max(now_s - self._records[-1][0], 0.0)
 
 
 class GpuWatchdog:

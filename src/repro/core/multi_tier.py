@@ -45,14 +45,6 @@ class MultiTierDecision:
     cloud_nodes: int
 
     @property
-    def uses_edge(self) -> bool:
-        return self.edge_nodes > 0
-
-    @property
-    def uses_cloud(self) -> bool:
-        return self.cloud_nodes > 0
-
-    @property
     def is_local(self) -> bool:
         return self.edge_nodes == 0 and self.cloud_nodes == 0
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.core.engine import LoADPartEngine
-from repro.models import build_exit_model, build_model
+from repro.models import build_model
 from repro.profiling.offline import OfflineProfiler, ProfilerReport
 
 DEFAULT_SAMPLES = 250
@@ -28,17 +28,3 @@ def default_engine(model: str, samples: int = DEFAULT_SAMPLES, seed: int = DEFAU
     """A decision engine for ``model`` built on the default predictors."""
     report = default_report(samples, seed)
     return LoADPartEngine(build_model(model), report.user_predictor, report.edge_predictor)
-
-
-@lru_cache(maxsize=32)
-def default_exit_engine(model: str, samples: int = DEFAULT_SAMPLES,
-                        seed: int = DEFAULT_SEED) -> LoADPartEngine:
-    """An exit-carrying engine for ``model`` (its declared branch set).
-
-    Same predictors as :func:`default_engine`; the backbone graph and its
-    exit branches come from :func:`repro.models.build_exit_model`.
-    """
-    report = default_report(samples, seed)
-    graph, branches = build_exit_model(model)
-    return LoADPartEngine(graph, report.user_predictor, report.edge_predictor,
-                          exits=branches)

@@ -18,9 +18,7 @@ is load-independent); ResNet50 close to baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Sequence, Tuple
 
 from repro.experiments.context import default_engine
 from repro.experiments.reporting import ms, pct, render_table
@@ -131,17 +129,3 @@ def format_fig9(result: Fig9Result) -> str:
         "ResNet50 close to baseline)"
     )
 
-
-def timeline_series(result: Fig9ModelResult, bucket_s: float = 5.0,
-                    duration_s: float = 260.0) -> List[Tuple[float, float, float, int]]:
-    """(time, loadpart ms, baseline ms, loadpart point) series for plotting."""
-    series = []
-    t = 0.0
-    while t < duration_s:
-        lp = result.loadpart.between(t, t + bucket_s)
-        bl = result.baseline.between(t, t + bucket_s)
-        if len(lp) and len(bl):
-            point = int(np.median(lp.points))
-            series.append((t, lp.mean_latency() * 1e3, bl.mean_latency() * 1e3, point))
-        t += bucket_s
-    return series

@@ -15,7 +15,7 @@ This package provides the graph representation that LoADPart partitions:
 """
 
 from repro.graph.builder import GraphBuilder
-from repro.graph.fusion import detect_fusion_groups, fuse_graph, fusion_summary
+from repro.graph.fusion import detect_fusion_groups, fuse_graph
 from repro.graph.graph import ComputationGraph, Cut
 from repro.graph.node import CNode, Parameter, TensorSpec
 from repro.graph.ops import OP_REGISTRY, OpSpec, node_flops
@@ -36,7 +36,6 @@ __all__ = [
     "TensorSpec",
     "detect_fusion_groups",
     "fuse_graph",
-    "fusion_summary",
     "graph_from_json",
     "graph_to_json",
     "node_flops",

@@ -20,7 +20,7 @@ profiler can train dedicated LR models for them, exactly as §VI suggests.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.graph.graph import ComputationGraph
 from repro.graph.node import CNode
@@ -122,10 +122,3 @@ def fuse_graph(graph: ComputationGraph) -> ComputationGraph:
     fused.set_output(alias[graph.output_name])
     fused.validate()
     return fused
-
-
-def fusion_summary(graph: ComputationGraph) -> Tuple[int, int, int]:
-    """(original nodes, fused nodes, groups with epilogue) for reporting."""
-    groups = detect_fusion_groups(graph)
-    fused_groups = sum(1 for g in groups if len(g) > 1)
-    return len(graph), len(groups), fused_groups

@@ -60,10 +60,6 @@ class Segment:
         """Nodes excluding the synthesised MakeTuple/Return scaffolding."""
         return [n for n in self.nodes if n.op not in SCAFFOLD_OPS]
 
-    @property
-    def has_make_tuple(self) -> bool:
-        return any(n.op == "make_tuple" for n in self.nodes)
-
     @cached_property
     def result_bytes(self) -> int:
         specs = {name: spec for name, spec in self.boundary_inputs.items()}
@@ -133,11 +129,6 @@ class GraphPartitioner:
     def cuts(self) -> List[Cut]:
         """The graph's cuts, positions ``0..n`` (see :meth:`ComputationGraph.cuts`)."""
         return self._cuts
-
-    @property
-    def num_points(self) -> int:
-        """Number of valid partition points (``0..n`` inclusive -> n+1)."""
-        return len(self._order) + 1
 
     def partition(self, p: int) -> PartitionedGraph:
         """Split after topological position ``p`` (0 = full offload, n = local)."""

@@ -38,10 +38,6 @@ class LoadLevel:
     wait_cv: float
     initial_wait_s: float
 
-    @property
-    def is_saturated(self) -> bool:
-        return self.utilization >= 1.0
-
 
 IDLE = LoadLevel("0%", 0.0, 0.0, 0.0, 0.0, 0.0)
 U30 = LoadLevel("30%", 0.30, 0.036, 0.15e-3, 1.0, 0.05e-3)
@@ -84,10 +80,6 @@ class LoadSchedule:
     @property
     def steps(self) -> List[Tuple[float, LoadLevel]]:
         return list(zip(self._starts, self._levels))
-
-    @property
-    def end_of_last_step(self) -> float:
-        return self._starts[-1]
 
 
 def fig9_schedule() -> LoadSchedule:

@@ -118,10 +118,3 @@ class GpuScheduler:
         forced = (1.0 - level.contend_prob) * (service / self.time_slice_s)
         initial = level.utilization**2 * level.initial_wait_s
         return initial + service + (contended + forced) * level.wait_mean_s
-
-    def mean_slowdown(self, kernel_times: Sequence[float], level: LoadLevel) -> float:
-        """Expected slowdown factor (the "true k") of a kernel sequence."""
-        service = float(sum(kernel_times))
-        if service <= 0.0:
-            return 1.0
-        return self.mean_execute(kernel_times, level) / service

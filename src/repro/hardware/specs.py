@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 #: GPU scheduling quantum assumed by the paper (§III-C mentions ~2 ms time
 #: slices on a time-multiplexed GPU).
@@ -45,8 +44,3 @@ DEVICE_SPEC = HardwareSpec(
     disk="16GB microSD card",
     gpu="N/A",
 )
-
-
-def table4_rows() -> Tuple[HardwareSpec, HardwareSpec]:
-    """The two columns of Table IV (edge server, user-end device)."""
-    return (EDGE_SERVER_SPEC, DEVICE_SPEC)

@@ -57,8 +57,6 @@ EXIT_MODEL_SPECS: Dict[str, Callable[[], tuple]] = {
     "squeezenet": squeezenet_exit_specs,
 }
 
-_CACHE: Dict[str, ComputationGraph] = {}
-
 
 def build_model(name: str) -> ComputationGraph:
     """Build a fresh computation graph for ``name`` (no caching)."""
@@ -67,13 +65,6 @@ def build_model(name: str) -> ComputationGraph:
     except KeyError:
         raise KeyError(f"unknown model {name!r}; available: {sorted(MODEL_BUILDERS)}") from None
     return builder()
-
-
-def get_model(name: str) -> ComputationGraph:
-    """Build-or-fetch a shared, read-only graph instance for ``name``."""
-    if name not in _CACHE:
-        _CACHE[name] = build_model(name)
-    return _CACHE[name]
 
 
 def list_models() -> List[str]:
@@ -97,16 +88,11 @@ def build_exit_model(name: str) -> Tuple[ComputationGraph, Tuple[ExitBranch, ...
     return graph, build_exit_branches(graph, specs, final_accuracy)
 
 
-def list_exit_models() -> List[str]:
-    return sorted(EXIT_MODEL_SPECS)
-
-
 __all__ = [
     "EVALUATED_MODELS",
     "EXIT_MODEL_SPECS",
     "MODEL_BUILDERS",
     "build_exit_model",
-    "list_exit_models",
     "build_alexnet",
     "build_inception_v3",
     "build_mobilenet_v1",
@@ -116,6 +102,5 @@ __all__ = [
     "build_squeezenet",
     "build_vgg16",
     "build_xception",
-    "get_model",
     "list_models",
 ]

@@ -115,16 +115,6 @@ class TensorCodec:
     def bytes_per_element(self) -> float:
         return self.BYTES_PER_ELEMENT[self.name]
 
-    @property
-    def lossless(self) -> bool:
-        """True when the round trip is bit-exact on float32 input."""
-        return self.name in self.LOSSLESS
-
-    @property
-    def compression_ratio(self) -> float:
-        """Upload-size reduction factor relative to float32 (dense case)."""
-        return 4.0 / self.bytes_per_element
-
     def _bytes_per_element_for(self, producer_op: str | None) -> float:
         if self.name == "zlib" and producer_op is not None:
             key = "relu" if producer_op.startswith("relu") else producer_op
@@ -198,36 +188,6 @@ class TensorCodec:
             return half.astype(np.float32)
         raw = np.frombuffer(encoded.payload, dtype=np.uint8).reshape(encoded.shape)
         return (raw.astype(np.float32) * encoded.scale + encoded.zero_point)
-
-    def round_trip(self, tensor: np.ndarray) -> np.ndarray:
-        return self.decode(self.encode(tensor))
-
-    def max_abs_error(self, tensor: np.ndarray) -> float:
-        """Worst-case reconstruction error on one tensor."""
-        if tensor.size == 0:
-            return 0.0
-        return float(np.abs(self.round_trip(tensor)
-                            - np.asarray(tensor, dtype=np.float32)).max())
-
-    def error_bound(self, tensor: np.ndarray) -> float:
-        """Declared a-priori bound on ``max_abs_error`` for this tensor.
-
-        Lossless codecs bound at exactly 0.0.  ``fp16`` rounds to 11
-        significand bits (relative 2^-11 plus the subnormal floor);
-        ``int8`` rounds to half a quantisation step.
-        """
-        if self.lossless:
-            return 0.0
-        arr = np.asarray(tensor, dtype=np.float32)
-        peak = float(np.abs(arr).max()) if arr.size else 0.0
-        if self.name == "fp16":
-            return peak * 2.0 ** -11 + 2.0 ** -24
-        lo = float(arr.min()) if arr.size else 0.0
-        hi = float(arr.max()) if arr.size else 0.0
-        scale = (hi - lo) / 255.0 if hi > lo else 1.0
-        # Half a quantisation step, plus the float32 rounding incurred by
-        # the ``raw * scale + lo`` reconstruction (a few ulps at ``peak``).
-        return scale / 2.0 + peak * 2.0 ** -21 + 1e-7
 
 
 def decode_any(encoded: EncodedTensor) -> np.ndarray:

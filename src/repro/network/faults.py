@@ -100,11 +100,6 @@ class FaultPlan:
         """True when a transfer starting at ``t`` finds the link dark."""
         return _in_window(self.outages, t)
 
-    @property
-    def is_null(self) -> bool:
-        """True when the plan can never produce a fault."""
-        return not self.outages and self.drop_prob == 0.0 and self.latency_spike_prob == 0.0
-
     def for_server(self, server_id: int) -> "FaultPlan":
         """The same fault *rates* on server ``server_id``'s own RNG stream.
 

@@ -87,12 +87,6 @@ class StreamingConfig:
         if self.min_chunk_timeout_s < 0:
             raise ValueError("min_chunk_timeout_s must be non-negative")
 
-    @property
-    def is_degenerate(self) -> bool:
-        """True when streaming can never change behaviour: identity codec
-        only, no chunking."""
-        return self.chunk_bytes is None and self.codecs == ("fp32",)
-
     def plan_chunks(self, total_bytes: int) -> Tuple[int, ...]:
         """Split ``total_bytes`` of wire payload into chunk sizes."""
         return plan_chunks(total_bytes, self.chunk_bytes)

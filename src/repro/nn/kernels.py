@@ -186,23 +186,6 @@ def lrn(inputs: Sequence[np.ndarray], params: Sequence[np.ndarray], attrs: Dict[
     return (x / np.power(k + (alpha / size) * denom, beta)).astype(x.dtype, copy=False)
 
 
-def lrn_reference(inputs: Sequence[np.ndarray], params: Sequence[np.ndarray], attrs: Dict[str, Any]) -> np.ndarray:
-    """Literal per-channel-loop LRN, kept as the equivalence-test oracle."""
-    (x,) = inputs
-    size = int(attrs.get("size", 5))
-    alpha = float(attrs.get("alpha", 1e-4))
-    beta = float(attrs.get("beta", 0.75))
-    k = float(attrs.get("k", 2.0))
-    half = size // 2
-    squares = x * x
-    channels = x.shape[1]
-    denom = np.empty_like(x)
-    for c in range(channels):
-        lo, hi = max(0, c - half), min(channels, c + half + 1)
-        denom[:, c] = squares[:, lo:hi].sum(axis=1)
-    return (x / np.power(k + (alpha / size) * denom, beta)).astype(x.dtype, copy=False)
-
-
 def concat(inputs: Sequence[np.ndarray], params: Sequence[np.ndarray], attrs: Dict[str, Any]) -> np.ndarray:
     return np.concatenate(list(inputs), axis=int(attrs.get("axis", 1)))
 

@@ -67,10 +67,6 @@ class NodeProfile:
         return self.n * self.c_in * (self.h_in + 2 * self.pad_h) * (self.w_in + 2 * self.pad_w)
 
     @property
-    def input_elems(self) -> int:
-        return self.input_bytes // 4
-
-    @property
     def output_elems(self) -> int:
         return self.output_bytes // 4
 

@@ -45,13 +45,6 @@ class LatencyPredictor:
             ) from None
         return max(model.predict_one(feature_vector(profile, self.side)), 0.0)
 
-    @property
-    def supports_fused(self) -> bool:
-        """True if this bundle can predict fused kernels (§VI extension)."""
-        from repro.graph.ops import FUSED_CATEGORIES
-
-        return all(cat in self.models for cat in FUSED_CATEGORIES)
-
     def predict_nodes(self, profiles: Sequence[NodeProfile]) -> np.ndarray:
         """Per-node predictions for a node sequence (the f(L_i) / g(L_i) array)."""
         return np.array([self.predict(p) for p in profiles], dtype=np.float64)
@@ -77,10 +70,6 @@ class LatencyPredictor:
         return cls(payload["side"], models)
 
     # -- construction helpers ------------------------------------------------------
-
-    def scaled(self, scale: float) -> "ScaledPredictor":
-        """This bundle's predictions uniformly scaled by ``scale``."""
-        return ScaledPredictor(self, scale)
 
     @classmethod
     def fit(

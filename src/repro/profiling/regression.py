@@ -22,10 +22,6 @@ class NNLSModel:
         self.feature_names = tuple(feature_names)
         self.coef: np.ndarray | None = None
 
-    @property
-    def is_fitted(self) -> bool:
-        return self.coef is not None
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "NNLSModel":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)

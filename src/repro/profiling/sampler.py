@@ -11,7 +11,6 @@ shape rules the real graphs use.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
@@ -71,46 +70,11 @@ class ProfiledSample:
     edge_time: float
 
 
-@dataclass(frozen=True)
-class TimedSample:
-    """A sampled configuration with a real wall-clock measurement."""
-
-    profile: NodeProfile
-    wall_s: float
-
-
-def measure_graph_wall_time(graph: ComputationGraph, backend: str = "naive",
-                            repeats: int = 3, input_seed: int = 0,
-                            seed: int = 0, batch: int = 1) -> float:
-    """Median wall-clock seconds of one real executor run of ``graph``.
-
-    One warm-up run pays compile/allocation costs (for the planned backend,
-    the compile-once half of its contract), then the median of ``repeats``
-    timed runs is returned.  The backend only changes how fast the sample is
-    measured — the profile geometry recorded next to it is untouched.
-    ``batch=n`` times an ``n``-sample stacked run (whole-batch seconds, not
-    per-sample).
-    """
-    from repro.nn.executor import GraphExecutor
-
-    executor = GraphExecutor(graph, seed=seed, backend=backend, batch=batch)
-    shape = (graph.input_spec.shape[0] * batch,) + graph.input_spec.shape[1:]
-    x = np.random.default_rng(input_seed).standard_normal(shape).astype(np.float32)
-    executor.run(x)
-    times = []
-    for _ in range(max(repeats, 1)):
-        t0 = time.perf_counter()
-        executor.run(x)
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
-
-
 class ConfigSampler:
     """Draws random-but-valid node configurations per category."""
 
     def __init__(self, seed: int = 0) -> None:
         self._rng = np.random.default_rng(seed)
-        self._last_graph: ComputationGraph | None = None
 
     def sample_profiles(self, category: str, count: int) -> List[NodeProfile]:
         """``count`` profiles of the given category, ops cycled uniformly."""
@@ -119,24 +83,6 @@ class ConfigSampler:
         except KeyError:
             raise KeyError(f"unknown category {category!r}; known: {sorted(CATEGORY_OPS)}") from None
         return [self._sample_one(ops[i % len(ops)]) for i in range(count)]
-
-    def sample_timed(self, category: str, count: int, backend: str = "naive",
-                     repeats: int = 3, batch: int = 1) -> List[TimedSample]:
-        """Sampled configurations measured on a real executor backend.
-
-        The drawn geometry is identical to :meth:`sample_profiles` with the
-        same seed state; the backend selector (and batch size) affect only
-        the wall-clock attached to each sample.
-        """
-        samples: List[TimedSample] = []
-        for i in range(count):
-            ops = CATEGORY_OPS[category]
-            profile = self._sample_one(ops[i % len(ops)])
-            assert self._last_graph is not None
-            wall = measure_graph_wall_time(self._last_graph, backend=backend,
-                                           repeats=repeats, batch=batch)
-            samples.append(TimedSample(profile=profile, wall_s=wall))
-        return samples
 
     # -- internals ------------------------------------------------------------
 
@@ -225,7 +171,6 @@ class ConfigSampler:
         inputs = [graph.input_name] * n_inputs
         node = graph.add_node(CNode(name="sample", op=op, inputs=inputs, attrs=attrs))
         graph.set_output(node.name)
-        self._last_graph = graph
         return profile_node(node, graph.input_specs_of(node))
 
 

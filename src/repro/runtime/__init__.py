@@ -13,7 +13,8 @@ Reproduces the online system of Fig. 3 as a discrete-event simulation:
   request events, profiler/watchdog/supervisor ticks, immediate or
   batched execution.
 - The three systems it runs, each wiring servers, channels and clients
-  and returning per-request timelines:
+  and returning one :class:`~repro.runtime.system.Timeline` of
+  per-request records:
 
   - :class:`~repro.runtime.system.OffloadingSystem` — one device, one
     server, one link, under a load schedule;
@@ -29,12 +30,7 @@ event-driven.
 """
 
 from repro.runtime.client import UserDevice
-from repro.runtime.multi import (
-    FleetResult,
-    MultiClientSystem,
-    ServerStats,
-    SharedLoadTracker,
-)
+from repro.runtime.multi import MultiClientSystem, SharedLoadTracker
 from repro.runtime.events import EventLoop
 from repro.runtime.gateway import (
     EdgeGateway,
@@ -53,14 +49,12 @@ __all__ = [
     "CircuitBreaker",
     "EdgeGateway",
     "EdgeServer",
-    "FleetResult",
     "FleetSupervisor",
     "GatewayConfig",
     "GatewayDevice",
     "GatewayFleetSystem",
     "MultiClientSystem",
     "ServerHealth",
-    "ServerStats",
     "SharedLoadTracker",
     "SupervisorConfig",
     "EventLoop",

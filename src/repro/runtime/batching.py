@@ -119,9 +119,6 @@ class DynamicBatcher:
         q = self._queues.get(point)
         return len(q.pending) if q is not None else 0
 
-    def current_epoch(self, point: int) -> int:
-        return self._queues.setdefault(point, _PointQueue()).epoch
-
     def take(self, point: int, epoch: int | None = None) -> List[PendingRequest]:
         """Drain the queue at ``point`` (FIFO order) and bump its epoch.
 
@@ -136,12 +133,3 @@ class DynamicBatcher:
         batch, q.pending = q.pending, []
         q.epoch += 1
         return batch
-
-    def drain_all(self) -> List[Tuple[int, List[PendingRequest]]]:
-        """Drain every non-empty queue (end-of-run cleanup)."""
-        out: List[Tuple[int, List[PendingRequest]]] = []
-        for point in sorted(self._queues):
-            batch = self.take(point)
-            if batch:
-                out.append((point, batch))
-        return out

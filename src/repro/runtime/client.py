@@ -197,10 +197,6 @@ class UserDevice:
 
     # -- runtime profiler activities (the paper's profiler thread) ------------
 
-    @property
-    def latest_k(self) -> float:
-        return self._latest_k
-
     def send_probe(self, now_s: float) -> float:
         """Upload an adaptive-size probe packet; returns its duration.
 

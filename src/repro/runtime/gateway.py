@@ -50,7 +50,7 @@ from repro.runtime.client import Attempt, UserDevice
 from repro.runtime.driver import Driver
 from repro.runtime.events import EventLoop
 from repro.runtime.messages import BusyReply, InferenceRecord
-from repro.runtime.multi import FleetResult, SharedEdgeServer, SharedLoadTracker
+from repro.runtime.multi import SharedEdgeServer, SharedLoadTracker
 from repro.runtime.server import EdgeServer
 from repro.runtime.supervisor import FleetSupervisor, SupervisorConfig
 from repro.runtime.system import (
@@ -449,7 +449,6 @@ class GatewayFleetSystem:
             raise ValueError("the fleet gateway requires policy='loadpart' "
                              "(the joint (point, server) scan)")
         self.engine = engine
-        self.num_servers = num_servers
         trace = bandwidth_trace or ConstantTrace(8e6)
         self.trackers = [SharedLoadTracker(window_s=tracker_window_s)
                          for _ in range(num_servers)]
@@ -482,7 +481,6 @@ class GatewayFleetSystem:
             supervisor_seed=self.config.seed + 300,
             profiles=profiles,
         )
-        self.policy = self.config.policy
         self.clients: List[GatewayDevice] = [
             build_client(GatewayDevice, engine, self.config, i, self.gateway)
             for i in range(num_clients)]
@@ -492,13 +490,9 @@ class GatewayFleetSystem:
     def supervisor(self) -> FleetSupervisor:
         return self.gateway.supervisor
 
-    def run(self, duration_s: float) -> FleetResult:
+    def run(self, duration_s: float) -> Timeline:
         """Simulate all clients issuing requests back-to-back."""
-        return FleetResult(
-            timelines=tuple(map(Timeline, Driver(
-                self.loop, self.config, self.clients, self.servers,
-                supervisor=(self.supervisor if self.gateway.probing_enabled
-                            else None)).run(duration_s))),
-            policy=self.policy,
-            num_servers=self.num_servers,
-        )
+        return Timeline(*Driver(
+            self.loop, self.config, self.clients, self.servers,
+            supervisor=(self.supervisor if self.gateway.probing_enabled
+                        else None)).run(duration_s))

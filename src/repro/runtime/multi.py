@@ -22,10 +22,7 @@ recovers.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, List, Tuple
-
-import numpy as np
+from typing import Deque, List
 
 from repro.core.engine import LoADPartEngine
 from repro.hardware.background import LoadLevel
@@ -33,7 +30,7 @@ from repro.network.traces import BandwidthTrace, ConstantTrace
 from repro.runtime.client import UserDevice
 from repro.runtime.driver import Driver
 from repro.runtime.events import EventLoop
-from repro.runtime.messages import InferenceRecord, OffloadReply
+from repro.runtime.messages import OffloadReply
 from repro.runtime.server import EdgeServer
 from repro.runtime.system import (
     SystemConfig,
@@ -42,7 +39,6 @@ from repro.runtime.system import (
     build_client,
     build_server,
     make_policy,
-    percentile,
 )
 
 
@@ -151,137 +147,6 @@ class SharedEdgeServer(EdgeServer):
         return replies
 
 
-@dataclass(frozen=True)
-class ServerStats:
-    """Per-server slice of a fleet run (nan-safe when a server sat idle).
-
-    ``requests`` counts records whose (final) attempt was sent to this
-    server; purely-local records belong to no server and appear in no
-    breakdown row.  Latency statistics cover completed requests only, so
-    an empty or all-failed server reports ``nan`` rather than raising —
-    mirroring the nan-on-empty convention of the fleet aggregates.
-    """
-
-    server_id: int
-    requests: int
-    completed: int
-    availability: float
-    mean_latency: float
-    p95_latency: float
-    rejected: int
-    failed: int
-    fallbacks: int
-
-    @staticmethod
-    def from_records(server_id: int, records: List[InferenceRecord]) -> "ServerStats":
-        completed = [r for r in records if r.completed]
-        lat = np.array([r.total_s for r in completed])
-        return ServerStats(
-            server_id=server_id,
-            requests=len(records),
-            completed=len(completed),
-            availability=(len(completed) / len(records) if records
-                          else float("nan")),
-            mean_latency=float(lat.mean()) if lat.size else float("nan"),
-            p95_latency=percentile(lat, 95),
-            rejected=sum(1 for r in records if r.status == "rejected"),
-            failed=sum(1 for r in records if r.status == "failed"),
-            fallbacks=sum(1 for r in records if r.status == "fallback_local"),
-        )
-
-
-@dataclass(frozen=True)
-class FleetResult:
-    """Per-client timelines plus fleet-level aggregates."""
-
-    timelines: Tuple[Timeline, ...]
-    policy: str
-    #: Edge servers behind the run (1 for the classic shared-server fleet).
-    num_servers: int = 1
-
-    def _latencies(self) -> np.ndarray:
-        arrays = [t.latencies for t in self.timelines]
-        return np.concatenate(arrays) if arrays else np.array([])
-
-    @property
-    def mean_latency(self) -> float:
-        lat = self._latencies()
-        if lat.size == 0:
-            return float("nan")
-        return float(lat.mean())
-
-    @property
-    def p95_latency(self) -> float:
-        return percentile(self._latencies(), 95)
-
-    @property
-    def local_fraction(self) -> float:
-        records = [r for t in self.timelines for r in t]
-        return sum(1 for r in records if r.is_local) / max(len(records), 1)
-
-    @property
-    def total_requests(self) -> int:
-        return sum(len(t) for t in self.timelines)
-
-    @property
-    def availability(self) -> float:
-        """Fraction of issued requests (fleet-wide) that completed."""
-        records = [r for t in self.timelines for r in t]
-        if not records:
-            return float("nan")
-        return sum(1 for r in records if r.completed) / len(records)
-
-    @property
-    def fallback_rate(self) -> float:
-        """Fraction of requests resolved by local fallback or rejection."""
-        records = [r for t in self.timelines for r in t]
-        if not records:
-            return float("nan")
-        return sum(1 for r in records if r.fell_back) / len(records)
-
-    def completed_latencies(self) -> np.ndarray:
-        """Latencies of the completed requests only (finite by construction)."""
-        records = [r for t in self.timelines for r in t if r.completed]
-        return np.array([r.total_s for r in records])
-
-    def sla_attainment(self) -> float:
-        """Fraction of SLA-carrying requests (fleet-wide) that met their
-        deadline; NaN when no request carried an SLA."""
-        carrying = [r for t in self.timelines for r in t if r.sla_s is not None]
-        if not carrying:
-            return float("nan")
-        return sum(1 for r in carrying if r.met_sla) / len(carrying)
-
-    def exit_counts(self) -> dict:
-        """Fleet-wide histogram of served exits (``None`` = full network)."""
-        counts: dict = {}
-        for t in self.timelines:
-            for r in t:
-                counts[r.exit_index] = counts.get(r.exit_index, 0) + 1
-        return counts
-
-    @property
-    def local_requests(self) -> int:
-        """Requests resolved with no server involved at all."""
-        return sum(1 for t in self.timelines for r in t if r.server_id is None)
-
-    def server_breakdown(self) -> Tuple[ServerStats, ...]:
-        """One :class:`ServerStats` row per server id ``0..num_servers-1``.
-
-        Servers that never saw a request still get a row (with ``nan``
-        statistics), so dashboards and gates can iterate the fleet without
-        existence checks.
-        """
-        by_server: dict[int, List[InferenceRecord]] = {
-            sid: [] for sid in range(self.num_servers)}
-        for timeline in self.timelines:
-            for r in timeline:
-                if r.server_id is not None and r.server_id in by_server:
-                    by_server[r.server_id].append(r)
-        return tuple(ServerStats.from_records(sid, by_server[sid])
-                     for sid in range(self.num_servers))
-
-
 class MultiClientSystem:
     """N user-end devices sharing one edge server over one access point."""
 
@@ -303,18 +168,14 @@ class MultiClientSystem:
                                    fault_plan=self.config.server_faults)
         self.channel = build_channel(bandwidth_trace or ConstantTrace(8e6),
                                      self.config)
-        self.policy = self.config.policy
         self.clients: List[UserDevice] = [
             build_client(UserDevice, engine, self.config, i, self.server,
-                         self.channel, policy=make_policy(self.policy, engine))
+                         self.channel, policy=make_policy(self.config.policy, engine))
             for i in range(num_clients)]
         self.loop = EventLoop()
 
-    def run(self, duration_s: float) -> FleetResult:
+    def run(self, duration_s: float) -> Timeline:
         """Simulate all clients issuing requests back-to-back (through the
         server's batch queues under ``SystemConfig(batching=...)``)."""
-        return FleetResult(
-            timelines=tuple(map(Timeline, Driver(
-                self.loop, self.config, self.clients, [self.server]).run(duration_s))),
-            policy=self.policy,
-        )
+        return Timeline(*Driver(self.loop, self.config, self.clients,
+                                [self.server]).run(duration_s))

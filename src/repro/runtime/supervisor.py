@@ -329,26 +329,3 @@ class FleetSupervisor:
         """Server ids currently believed alive (LIVE or SUSPECT)."""
         return tuple(s.server_id for s in self.servers
                      if not self.health[s.server_id].is_dead)
-
-    def snapshot(self, now_s: float) -> Dict[int, Dict[str, object]]:
-        """Observability dump: one row per server (state, k, breaker, ...)."""
-        rows: Dict[int, Dict[str, object]] = {}
-        for server in self.servers:
-            sid = server.server_id
-            health = self.health[sid]
-            rows[sid] = {
-                "state": health.state,
-                "k": health.k,
-                "k_age_s": now_s - health.k_time_s,
-                "monitor_age_s": server.monitor.age_s(now_s),
-                "breaker": self.breakers[sid].state,
-                "misses": health.misses,
-                "restarts_seen": health.restarts_seen,
-                "probes_sent": health.probes_sent,
-                "probe_failures": health.probe_failures,
-                "busy_count": health.busy_count,
-                "bandwidth_bps": self.bandwidth_for(sid, float("nan")),
-                "link_latency_s": self.latency_for(sid),
-                "link_samples": self.links[sid].sample_count,
-            }
-        return rows

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List
+from functools import cached_property
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -132,10 +133,27 @@ def percentile(values, q: float) -> float:
 
 
 class Timeline:
-    """The per-request records of one run, with summary helpers."""
+    """The per-request records of one run, with summary helpers.
 
-    def __init__(self, records: List[InferenceRecord]) -> None:
-        self.records = records
+    ``Timeline(records)`` holds one client's records.  A fleet run passes
+    one list per client, ``Timeline(*per_client)``: ``records`` joins them
+    in client order when first read, and ``timelines`` gives one Timeline
+    per client.  Every aggregate is NaN on an empty run.
+    """
+
+    def __init__(self, *clients: List[InferenceRecord]) -> None:
+        self._clients = clients
+
+    @cached_property
+    def records(self) -> List[InferenceRecord]:
+        if len(self._clients) == 1:
+            return self._clients[0]
+        return [r for records in self._clients for r in records]
+
+    @property
+    def timelines(self) -> Tuple["Timeline", ...]:
+        """One Timeline per client, in client order."""
+        return tuple(map(Timeline, self._clients))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -163,6 +181,12 @@ class Timeline:
     def percentile_latency(self, q: float) -> float:
         return percentile(self.latencies, q)
 
+    def local_fraction(self) -> float:
+        """Fraction of issued requests that ran wholly on the device."""
+        if not self.records:
+            return float("nan")
+        return sum(1 for r in self.records if r.is_local) / len(self.records)
+
     def between(self, start_s: float, end_s: float) -> "Timeline":
         return Timeline([r for r in self.records if start_s <= r.start_s < end_s])
 
@@ -189,12 +213,6 @@ class Timeline:
         if not self.records:
             return float("nan")
         return sum(1 for r in self.records if r.fell_back) / len(self.records)
-
-    def retry_rate(self) -> float:
-        """Mean number of retries per issued request."""
-        if not self.records:
-            return float("nan")
-        return sum(r.retries for r in self.records) / len(self.records)
 
     # -- SLA summaries -------------------------------------------------------
 
@@ -308,5 +326,5 @@ class OffloadingSystem:
         on_record: Callable[[InferenceRecord], None] | None = None,
     ) -> Timeline:
         """Simulate ``duration_s`` seconds of operation."""
-        return Timeline(Driver(self.loop, self.config, [self.device], [self.server],
-                               stagger=False).run(duration_s, max_requests, on_record)[0])
+        return Timeline(*Driver(self.loop, self.config, [self.device], [self.server],
+                                stagger=False).run(duration_s, max_requests, on_record))

@@ -18,9 +18,9 @@ class TestLoadLevels:
         assert set(LOAD_LEVELS) == {"0%", "30%", "50%", "70%", "90%", "100%(l)", "100%(h)"}
 
     def test_saturation_flags(self):
-        assert U100L.is_saturated and U100H.is_saturated
-        assert not IDLE.is_saturated
-        assert not LOAD_LEVELS["90%"].is_saturated
+        assert U100L.utilization >= 1.0 and U100H.utilization >= 1.0
+        assert IDLE.utilization < 1.0
+        assert LOAD_LEVELS["90%"].utilization < 1.0
 
     def test_equal_utilisation_different_contention(self):
         """The paper's key distinction between 100%(l) and 100%(h)."""

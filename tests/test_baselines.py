@@ -16,6 +16,7 @@ from repro.core.baselines import (
     dads_min_cut,
 )
 from repro.graph.builder import GraphBuilder
+from tests.helpers import prefix_point
 
 
 def test_import_repro_leaves_networkx_unloaded():
@@ -90,7 +91,7 @@ class TestDadsMinCut:
         result = dads_min_cut(graph, device, edge, bw, k=k)
         decision = partition_decision(device, edge, graph.transmission_sizes(), bw, k=k)
         assert result.latency == pytest.approx(decision.predicted_latency, rel=1e-6)
-        assert result.matches_prefix(graph.topological_order()) == decision.point
+        assert prefix_point(result, graph.topological_order()) == decision.point
 
     def test_never_worse_than_algorithm1_on_dags(self, squeezenet_engine):
         """The general cut space contains every topological prefix."""
@@ -135,4 +136,4 @@ class TestDadsMinCut:
 
         order = diamond_graph.topological_order()
         non_prefix = MinCutResult(device_nodes=frozenset({order[1]}), latency=1.0)
-        assert non_prefix.matches_prefix(order) is None
+        assert prefix_point(non_prefix, order) is None

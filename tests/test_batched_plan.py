@@ -17,7 +17,7 @@ from repro.models import build_model
 from repro.nn import BACKENDS, GraphExecutor, SegmentExecutor
 from repro.nn.plan import GraphPlan, PlanError, SegmentPlan
 from repro.runtime.batching import BatchingConfig, DynamicBatcher, PendingRequest
-from repro.runtime.multi import FleetResult, MultiClientSystem
+from repro.runtime.multi import MultiClientSystem
 from repro.runtime.system import OffloadingSystem, SystemConfig, Timeline
 from tests.helpers import (
     SWEEP_ZOO,
@@ -199,9 +199,8 @@ class TestDynamicBatcher:
         batcher.enqueue(7, PendingRequest(2, 0.0))
         assert batcher.queue_depth(3) == 1
         assert batcher.queue_depth(7) == 1
-        drained = batcher.drain_all()
-        assert [(point, [r.request_id for r in batch]) for point, batch in drained] \
-            == [(3, [1]), (7, [2])]
+        assert [r.request_id for r in batcher.take(3)] == [1]
+        assert [r.request_id for r in batcher.take(7)] == [2]
 
 
 class TestBatchedFleet:
@@ -216,7 +215,7 @@ class TestBatchedFleet:
                                                  batching_config):
         system = MultiClientSystem(squeezenet_engine, 4, config=batching_config)
         result = system.run(1.0)
-        assert result.total_requests > 0
+        assert len(result) > 0
         for timeline in result.timelines:
             ids = [r.request_id for r in timeline]
             # Per-client IDs are issued 1, 2, 3, ... — dropped or reordered
@@ -227,7 +226,7 @@ class TestBatchedFleet:
                                                    batching_config):
         system = MultiClientSystem(squeezenet_engine, 4, config=batching_config)
         result = system.run(1.0)
-        records = [r for t in result.timelines for r in t]
+        records = result.records
         assert max(r.batch_size for r in records) > 1
         batched = [r for r in records if r.batch_size > 1]
         # Someone waited for the batch to fill, and that wait is part of
@@ -260,14 +259,22 @@ class TestBatchedFleet:
 
 
 class TestFleetResultEmpty:
+    """A fleet run's Timeline with no records: every aggregate is NaN."""
+
+    @staticmethod
+    def _assert_all_nan(empty):
+        for aggregate in (empty.mean_latency(), empty.percentile_latency(95),
+                          empty.local_fraction(), empty.availability(),
+                          empty.fallback_rate(), empty.sla_attainment()):
+            assert np.isnan(aggregate)
+        assert len(empty) == 0 and empty.exit_counts() == {}
+
     def test_empty_fleet_metrics_are_nan_not_raise(self):
-        empty = FleetResult(timelines=(), policy="loadpart")
-        assert np.isnan(empty.mean_latency)
-        assert np.isnan(empty.p95_latency)
-        assert empty.total_requests == 0
-        assert empty.local_fraction == 0.0
+        empty = Timeline()
+        assert empty.timelines == ()
+        self._assert_all_nan(empty)
 
     def test_empty_timelines_are_nan_too(self):
-        empty = FleetResult(timelines=(Timeline([]), Timeline([])), policy="full")
-        assert np.isnan(empty.mean_latency)
-        assert np.isnan(empty.p95_latency)
+        empty = Timeline([], [])
+        assert len(empty.timelines) == 2
+        self._assert_all_nan(empty)

@@ -50,7 +50,6 @@ class TestBlockCutReport:
         report = block_cut_report(chain_graph)
         assert report.multi_points == []
         assert report.min_multi_cut_bytes is None
-        assert not report.inside_cuts_beat_input
 
     def test_diamond_report(self, diamond_graph):
         report = block_cut_report(diamond_graph)

@@ -22,7 +22,7 @@ class TestComponents:
     def test_prefix_matches_cumsum(self, alexnet_engine):
         total = 0.0
         for p in range(alexnet_engine.num_nodes + 1):
-            assert alexnet_engine.predicted_device_time(p) == pytest.approx(total)
+            assert alexnet_engine._prefix[p] == pytest.approx(total)
             if p < alexnet_engine.num_nodes:
                 total += alexnet_engine.device_times[p]
 
@@ -41,14 +41,14 @@ class TestComponents:
         with pytest.raises(ValueError):
             alexnet_engine.predicted_server_time(-1)
         with pytest.raises(ValueError):
-            alexnet_engine.predicted_device_time(99)
+            alexnet_engine.predicted_upload_time(99, 8e6)
 
 
 class TestDecisions:
     def test_decision_candidates_decompose(self, alexnet_engine):
         decision = alexnet_engine.decide(8e6, k=2.0)
         for p in (0, 4, 10, alexnet_engine.num_nodes):
-            expected = alexnet_engine.predicted_device_time(p)
+            expected = sum(alexnet_engine.device_times[:p])
             expected += alexnet_engine.predicted_server_time(p, k=2.0)
             expected += alexnet_engine.predicted_upload_time(p, 8e6) if p < alexnet_engine.num_nodes else 0.0
             assert decision.candidates[p] == pytest.approx(expected)

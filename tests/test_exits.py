@@ -22,12 +22,12 @@ from repro.graph.exits import (
     validate_exits,
 )
 from repro.graph.graph import GraphError
-from repro.models import build_exit_model, build_model, list_exit_models
+from repro.models import EXIT_MODEL_SPECS, build_exit_model, build_model
 from repro.nn import GraphExecutor
 
 from tests.helpers import sample_inputs, assert_per_sample_bit_identical
 
-EXIT_FAMILIES = list_exit_models()
+EXIT_FAMILIES = sorted(EXIT_MODEL_SPECS)
 
 
 class TestExitSpec:
@@ -144,10 +144,8 @@ class TestZooExitModels:
         assert 0.0 < accs[0] <= accs[-1] <= 1.0
 
     @pytest.mark.parametrize("name", EXIT_FAMILIES)
-    def test_exit_engine_wiring(self, name):
-        from repro.experiments.context import default_exit_engine
-
-        engine = default_exit_engine(name)
+    def test_exit_engine_wiring(self, name, exit_engine_for):
+        engine = exit_engine_for(name)
         assert engine.has_exits
         assert engine.num_exits >= 3
         assert engine.exit_engine(engine.num_exits - 1) is engine

@@ -37,7 +37,8 @@ class TestTransferResult:
 class TestFaultPlanValidation:
     def test_defaults_are_null(self):
         plan = FaultPlan()
-        assert plan.is_null
+        assert not plan.outages
+        assert plan.drop_prob == 0.0 and plan.latency_spike_prob == 0.0
         assert not plan.in_outage(1.0)
 
     def test_rejects_bad_probability(self):

@@ -56,7 +56,6 @@ class TestNodeProfile:
     def test_bytes(self):
         p = make_profile("relu", (1, 4, 4, 4))
         assert p.input_bytes == p.output_bytes == 4 * 16 * 4
-        assert p.input_elems == 64
 
 
 class TestFeatureVectors:

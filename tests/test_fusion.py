@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.graph.fusion import detect_fusion_groups, fuse_graph, fusion_summary
+from repro.graph.fusion import detect_fusion_groups, fuse_graph
+from repro.graph.ops import FUSED_CATEGORIES
 from repro.graph.partitioner import GraphPartitioner
 from repro.models import build_model
 from repro.nn.executor import GraphExecutor, SegmentExecutor
@@ -51,10 +52,11 @@ class TestDetection:
         assert by_anchor["c"] == ["c", "bias"]
 
     def test_alexnet_summary(self):
-        original, fused, with_epilogue = fusion_summary(build_model("alexnet"))
-        assert original == 27
-        assert fused == 12
-        assert with_epilogue == 8  # 5 conv stacks + 3 fc stacks
+        graph = build_model("alexnet")
+        groups = detect_fusion_groups(graph)
+        assert len(graph) == 27
+        assert len(groups) == 12
+        assert sum(1 for g in groups if len(g) > 1) == 8  # 5 conv + 3 fc stacks
 
 
 class TestRewriting:
@@ -149,8 +151,8 @@ class TestFusedPrediction:
         return OfflineProfiler(samples_per_category=120, seed=5, include_fused=True).run()
 
     def test_supports_fused_flag(self, fused_report, trained_report):
-        assert fused_report.user_predictor.supports_fused
-        assert not trained_report.user_predictor.supports_fused
+        assert set(FUSED_CATEGORIES) <= set(fused_report.user_predictor.models)
+        assert not set(FUSED_CATEGORIES) & set(trained_report.user_predictor.models)
 
     def test_plain_predictor_rejects_fused_graphs(self, trained_report):
         profiles = profile_graph(fuse_graph(build_model("alexnet")))
@@ -170,7 +172,7 @@ class TestFusedPrediction:
         from repro.profiling.predictor import LatencyPredictor
 
         restored = LatencyPredictor.from_json(fused_report.edge_predictor.to_json())
-        assert restored.supports_fused
+        assert set(FUSED_CATEGORIES) <= set(restored.models)
 
 
 class TestFusedSerialisation:

@@ -233,11 +233,10 @@ class TestSupervisor:
     def test_snapshot_shape(self, alexnet_engine):
         servers, channels = _fleet_parts(alexnet_engine, 2)
         sup = FleetSupervisor(servers, channels, seed=5)
-        rows = sup.snapshot(0.0)
-        assert set(rows) == {0, 1}
-        for row in rows.values():
-            assert row["state"] == LIVE
-            assert row["breaker"] == "closed"
+        assert set(sup.health) == set(sup.breakers) == {0, 1}
+        for sid in (0, 1):
+            assert sup.health[sid].state == LIVE
+            assert sup.breakers[sid].state == "closed"
 
     def test_duplicate_server_ids_rejected(self, alexnet_engine):
         servers, channels = _fleet_parts(alexnet_engine, 2)
@@ -302,12 +301,9 @@ class TestFailover:
             server_faults=[plan0, None],
         )
         result = system.run(2.0)
-        assert result.availability == 1.0
-        stats = result.server_breakdown()
-        assert len(stats) == 2
+        assert result.availability() == 1.0
         # The healthy sibling absorbed traffic during the outage.
-        during = [r for t in result.timelines for r in t
-                  if 0.5 <= r.start_s < 1.6 and r.server_id is not None]
+        during = [r for r in result.between(0.5, 1.6) if r.server_id is not None]
         if during:
             assert all(r.server_id == 1 for r in during
                        if r.completed and not r.fell_back)
@@ -324,8 +320,8 @@ class TestFailover:
             server_faults=[plan],
         )
         result = system.run(1.0)
-        assert result.availability == 1.0
-        retried = [r for t in result.timelines for r in t if r.retries > 0]
+        assert result.availability() == 1.0
+        retried = [r for r in result if r.retries > 0]
         for r in retried:
             assert r.server_id in (0, None)
 
@@ -355,15 +351,15 @@ class TestChaosMatrix:
             server_faults=server_faults,
         )
         result = system.run(1.5)
-        assert result.total_requests > 0
-        assert 0.0 <= result.availability <= 1.0
+        assert len(result) > 0
+        assert 0.0 <= result.availability() <= 1.0
         if resilient:
             # A resilient client always resolves (offload or local fallback).
-            assert result.availability == 1.0
-        for stat in result.server_breakdown():
-            assert stat.requests >= 0
-            if stat.requests == 0:
-                assert math.isnan(stat.availability)
+            assert result.availability() == 1.0
+        for sid in range(2):
+            served = result.for_server(sid)
+            if len(served) == 0:
+                assert math.isnan(served.availability())
 
     @pytest.mark.parametrize("link", [None, FaultPlan(seed=11, drop_prob=0.2)])
     @pytest.mark.parametrize("chaos", [False, True])
@@ -692,7 +688,7 @@ class TestHeterogeneousRouting:
             profiles=profiles,
         )
         result = system.run(2.0)
-        assert result.total_requests > 0
+        assert len(result) > 0
         counts = system.gateway.routed_counts
         assert counts[0] > counts[1]
 

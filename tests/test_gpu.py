@@ -167,7 +167,8 @@ class TestScheduler:
         assert analytic == pytest.approx(empirical, rel=0.15)
 
     def test_mean_slowdown_at_idle_is_one(self, scheduler):
-        assert scheduler.mean_slowdown([1e-3] * 5, IDLE) == 1.0
+        kernels = [1e-3] * 5
+        assert scheduler.mean_execute(kernels, IDLE) == sum(kernels)
 
     def test_forced_yield_after_slice_exhaustion(self, rng):
         """A kernel longer than the slice forces a yield before the next."""

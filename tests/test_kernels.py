@@ -20,6 +20,7 @@ from repro.nn.kernels import (
     softmax,
     tanh,
 )
+from tests.helpers import lrn_reference
 
 
 def naive_conv2d(x, w, stride, padding):
@@ -192,8 +193,6 @@ class TestVectorizedLrn:
 
     @pytest.mark.parametrize("size,channels", [(5, 96), (5, 3), (3, 8), (7, 16)])
     def test_matches_loop_reference(self, rng, size, channels):
-        from repro.nn.kernels import lrn_reference
-
         x = (rng.standard_normal((2, channels, 5, 5)) * 4).astype(np.float32)
         attrs = {"size": size, "alpha": 1e-4, "beta": 0.75, "k": 2.0}
         got = lrn([x], [], attrs)
@@ -202,8 +201,6 @@ class TestVectorizedLrn:
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-7)
 
     def test_default_attrs(self, rng):
-        from repro.nn.kernels import lrn_reference
-
         x = rng.standard_normal((1, 32, 4, 4)).astype(np.float32)
         np.testing.assert_allclose(lrn([x], [], {}), lrn_reference([x], [], {}),
                                    rtol=1e-6, atol=1e-7)

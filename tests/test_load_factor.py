@@ -102,20 +102,3 @@ class TestWatchdog:
             GpuWatchdog(m, threshold=0.0)
         with pytest.raises(ValueError):
             GpuWatchdog(m, period_s=0.0)
-
-
-class TestMonitorAge:
-    def test_empty_monitor_is_infinitely_stale(self):
-        import math
-
-        from repro.core.load_factor import LoadFactorMonitor
-
-        assert math.isinf(LoadFactorMonitor(window_s=5.0).age_s(3.0))
-
-    def test_age_tracks_latest_record(self):
-        from repro.core.load_factor import LoadFactorMonitor
-
-        m = LoadFactorMonitor(window_s=5.0)
-        m.record(1.0, 0.1, 0.1)
-        assert m.age_s(3.0) == 2.0
-        assert m.age_s(0.5) == 0.0   # clamped, never negative

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.models import EVALUATED_MODELS, build_model, get_model, list_models
+from repro.models import EVALUATED_MODELS, build_model, list_models
 
 
 class TestRegistry:
@@ -16,9 +16,6 @@ class TestRegistry:
     def test_unknown_model_raises(self):
         with pytest.raises(KeyError, match="unknown model"):
             build_model("lenet")
-
-    def test_get_model_caches(self):
-        assert get_model("alexnet") is get_model("alexnet")
 
     def test_build_model_fresh(self):
         assert build_model("alexnet") is not build_model("alexnet")

@@ -85,7 +85,7 @@ class TestMultiClientSystem:
         system = MultiClientSystem(engine, 1, config=SystemConfig(seed=1))
         result = system.run(5.0)
         assert len(result.timelines) == 1
-        assert result.total_requests > 3
+        assert len(result) > 3
 
     def test_server_load_is_endogenous(self, engine):
         system = MultiClientSystem(engine, 24,
@@ -102,9 +102,9 @@ class TestMultiClientSystem:
             system = MultiClientSystem(engine, 24,
                                        config=SystemConfig(policy=policy, seed=2))
             results[policy] = system.run(25.0)
-        assert results["loadpart"].local_fraction > 0.15
-        assert results["neurosurgeon"].local_fraction == 0.0
-        assert results["loadpart"].mean_latency < results["neurosurgeon"].mean_latency
+        assert results["loadpart"].local_fraction() > 0.15
+        assert results["neurosurgeon"].local_fraction() == 0.0
+        assert results["loadpart"].mean_latency() < results["neurosurgeon"].mean_latency()
 
     def test_fleet_throughput_improves(self, engine):
         results = {}
@@ -112,12 +112,12 @@ class TestMultiClientSystem:
             system = MultiClientSystem(engine, 24,
                                        config=SystemConfig(policy=policy, seed=2))
             results[policy] = system.run(25.0)
-        assert results["loadpart"].total_requests > results["neurosurgeon"].total_requests
+        assert len(results["loadpart"]) > len(results["neurosurgeon"])
 
     def test_records_interleave_in_time(self, engine):
         system = MultiClientSystem(engine, 4, config=SystemConfig(seed=3))
         result = system.run(5.0)
-        all_starts = sorted(r.start_s for t in result.timelines for r in t)
+        all_starts = sorted(r.start_s for r in result)
         per_client_last = [t.records[-1].start_s for t in result.timelines]
         # Every client kept issuing until near the horizon.
         assert min(per_client_last) > 0.5 * max(all_starts)
@@ -151,86 +151,75 @@ def _record(server_id=None, total=0.1, status="ok", start=0.0):
 
 
 class TestServerBreakdown:
+    """Per-server views of a fleet run, as ``for_server`` builds them."""
+
     def test_every_server_gets_a_row(self):
-        from repro.runtime.multi import FleetResult
         from repro.runtime.system import Timeline
 
-        result = FleetResult(
-            timelines=(Timeline([_record(server_id=0), _record()]),),
-            policy="loadpart", num_servers=3)
-        stats = result.server_breakdown()
-        assert [s.server_id for s in stats] == [0, 1, 2]
-        assert stats[0].requests == 1
-        assert stats[1].requests == 0
+        result = Timeline([_record(server_id=0), _record()])
+        assert [len(result.for_server(s)) for s in range(3)] == [1, 0, 0]
 
     def test_idle_server_is_nan_safe(self):
         import math
 
-        from repro.runtime.multi import ServerStats
+        from repro.runtime.system import Timeline
 
-        s = ServerStats.from_records(2, [])
-        assert s.requests == 0
-        assert math.isnan(s.availability)
-        assert math.isnan(s.mean_latency)
-        assert math.isnan(s.p95_latency)
+        s = Timeline([_record(server_id=0)]).for_server(2)
+        assert len(s) == 0
+        assert math.isnan(s.availability())
+        assert math.isnan(s.completed.mean_latency())
+        assert math.isnan(s.completed.percentile_latency(95))
 
     def test_all_failed_server_is_nan_safe(self):
         import math
 
-        from repro.runtime.multi import ServerStats
+        from repro.runtime.system import Timeline
 
-        s = ServerStats.from_records(0, [
-            _record(server_id=0, total=float("inf"), status="failed")])
-        assert s.requests == 1
-        assert s.completed == 0
-        assert s.availability == 0.0
-        assert math.isnan(s.mean_latency)
-        assert s.failed == 1
+        s = Timeline([_record(server_id=0, total=float("inf"), status="failed")]
+                     ).for_server(0)
+        assert len(s) == 1
+        assert len(s.completed) == 0
+        assert s.availability() == 0.0
+        assert math.isnan(s.completed.mean_latency())
+        assert math.isnan(s.completed.percentile_latency(95))
 
     def test_status_counters(self):
-        from repro.runtime.multi import ServerStats
+        from repro.runtime.system import Timeline
 
-        s = ServerStats.from_records(0, [
+        s = Timeline([
             _record(server_id=0),
             _record(server_id=0, status="rejected"),
             _record(server_id=0, status="fallback_local"),
-        ])
-        assert s.rejected == 1
-        assert s.fallbacks == 1
+            _record(server_id=0, total=float("inf"), status="failed"),
+        ]).for_server(0)
+        assert s.fallback_rate() == 0.5
+        assert s.availability() == 0.75
 
     def test_local_requests_counted_separately(self):
-        from repro.runtime.multi import FleetResult
         from repro.runtime.system import Timeline
 
-        result = FleetResult(
-            timelines=(Timeline([_record(), _record(server_id=1)]),),
-            policy="loadpart", num_servers=2)
-        assert result.local_requests == 1
+        result = Timeline([_record(), _record(server_id=1)])
+        assert len(result.for_server(None)) == 1
+        assert result.local_fraction() == 0.5
 
 
 class TestFleetPercentiles:
     def test_p95_with_stalled_requests_is_inf(self):
-        from repro.runtime.multi import FleetResult
         from repro.runtime.system import Timeline
 
-        result = FleetResult(
-            timelines=(Timeline([_record(total=0.1), _record(total=0.2)]),
-                       Timeline([_record(total=float("inf"))])),
-            policy="loadpart")
+        result = Timeline([_record(total=0.1), _record(total=0.2)],
+                          [_record(total=float("inf"))])
         # np.percentile interpolates inf - inf = nan between the stalls.
-        assert result.p95_latency == float("inf")
+        assert result.percentile_latency(95) == float("inf")
 
     def test_finite_p95_is_numpy_exactly(self):
         import numpy as np
 
-        from repro.runtime.multi import FleetResult
         from repro.runtime.system import Timeline
 
         totals = [0.13, 0.4, 0.21, 0.9, 0.05]
-        result = FleetResult(
-            timelines=(Timeline([_record(total=t) for t in totals]),),
-            policy="loadpart")
-        assert result.p95_latency == float(np.percentile(totals, 95))
+        result = Timeline([_record(total=t) for t in totals])
+        assert result.percentile_latency(95) == float(np.percentile(totals, 95))
 
     def test_link_fault_fleet_reads_no_nan(self, alexnet_engine):
         import math
@@ -247,7 +236,20 @@ class TestFleetPercentiles:
         # slower finished request and its tail is the stall.
         assert client.percentile_latency(50) == latencies[1]
         assert client.percentile_latency(95) == math.inf
-        assert result.p95_latency == math.inf
+        assert result.percentile_latency(95) == math.inf
+
+
+class TestFleetTimeline:
+    """One Timeline over every client's records, in client order."""
+
+    def test_timelines_flatten_to_the_records(self, alexnet_engine):
+        result = MultiClientSystem(alexnet_engine, 3,
+                                   config=SystemConfig(seed=5)).run(1.0)
+        per_client = [t.records for t in result.timelines]
+        assert len(per_client) == 3 and all(per_client)
+        assert result.records == [r for records in per_client for r in records]
+        assert list(result) == result.records
+        assert len(result) == sum(map(len, per_client))
 
 
 class TestTimelineForServer:

@@ -36,7 +36,7 @@ class TestChainPartition:
 
     def test_single_result_no_make_tuple(self, chain_graph):
         part = GraphPartitioner(chain_graph).partition(3)
-        assert not part.head.has_make_tuple
+        assert all(n.op != "make_tuple" for n in part.head.nodes)
         assert part.head.nodes[-1].op == "return"
 
     def test_out_of_range_rejected(self, chain_graph):
@@ -47,7 +47,10 @@ class TestChainPartition:
             p.partition(len(chain_graph) + 1)
 
     def test_num_points(self, chain_graph):
-        assert GraphPartitioner(chain_graph).num_points == len(chain_graph) + 1
+        """Points ``0..n`` are the valid ones, n + 1 in all."""
+        p = GraphPartitioner(chain_graph)
+        n = len(chain_graph)
+        assert [p.partition(i).partition_point for i in range(n + 1)] == list(range(n + 1))
 
 
 class TestDagPartition:
@@ -57,7 +60,6 @@ class TestDagPartition:
         # Position 2 crosses two tensors (branch output + stem output).
         part = partitioner.partition(2)
         assert len(part.transfer_specs) == 2
-        assert part.head.has_make_tuple
         make_tuple = [n for n in part.head.nodes if n.op == "make_tuple"]
         assert len(make_tuple) == 1
         assert set(make_tuple[0].inputs) <= set(part.transfer_specs)

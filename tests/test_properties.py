@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.graph.builder import GraphBuilder
 from repro.graph.partitioner import GraphPartitioner
 from repro.nn.executor import GraphExecutor, SegmentExecutor
-from tests.helpers import brute_force
+from tests.helpers import brute_force, exit_fleet_brute_force, fleet_objective
 
 
 @st.composite
@@ -284,8 +284,6 @@ class TestExitDifferential:
     @given(data=st.data(), setup=random_exit_engine())
     @settings(max_examples=40, deadline=None)
     def test_exit_scan_matches_brute_force(self, data, setup):
-        from repro.core.engine import exit_fleet_brute_force
-
         engine, _ = setup
 
         bw = data.draw(st.floats(1e5, 1e8), label="bw")
@@ -312,7 +310,7 @@ class TestExitDifferential:
     @given(data=st.data(), setup=random_exit_engine())
     @settings(max_examples=25, deadline=None)
     def test_exit_fleet_scan_matches_brute_force(self, data, setup):
-        from repro.core.engine import ServerProfile, exit_fleet_brute_force
+        from repro.core.engine import ServerProfile
         from repro.profiling.predictor import ScaledPredictor
 
         engine, edge_base = setup
@@ -449,12 +447,7 @@ class TestFleetDifferential:
     @given(data=st.data(), graph=random_dag())
     @settings(max_examples=40, deadline=None)
     def test_heterogeneous_scan_matches_brute_force(self, data, graph):
-        from repro.core.engine import (
-            LoADPartEngine,
-            ServerProfile,
-            exit_fleet_brute_force,
-            fleet_objective,
-        )
+        from repro.core.engine import LoADPartEngine, ServerProfile
         from repro.profiling.predictor import ScaledPredictor
 
         seed = data.draw(st.integers(0, 2**31), label="times_seed")

@@ -66,9 +66,9 @@ class TestValidation:
 
     def test_is_fitted(self, rng):
         model = NNLSModel(["a"])
-        assert not model.is_fitted
+        assert model.coef is None
         model.fit(rng.random((5, 1)), rng.random(5))
-        assert model.is_fitted
+        assert model.coef is not None
 
 
 class TestSerialisation:

@@ -103,7 +103,7 @@ class TestDeterminism:
                              resilience=ResilienceConfig())[0]
                 for _ in range(2)]
         assert list(runs[0]) == list(runs[1])
-        assert runs[0].retry_rate() > 0  # faults actually fired
+        assert any(r.retries for r in runs[0])  # faults actually fired
         clean, _ = run_timeline(squeezenet_engine, duration_s=6.0,
                                 resilience=ResilienceConfig())
         assert list(runs[0]) != list(clean)
@@ -194,18 +194,18 @@ class TestAdmissionControl:
     def test_overload_sheds_and_resilient_fleet_completes(self, squeezenet_engine):
         result, system = self._fleet(squeezenet_engine, ResilienceConfig())
         assert system.server.rejected_count > 0
-        assert result.availability == 1.0
+        assert result.availability() == 1.0
 
     def test_naive_fleet_stalls_on_rejection(self, squeezenet_engine):
         result, system = self._fleet(squeezenet_engine, None)
         assert system.server.rejected_count > 0
-        assert result.availability < 1.0
+        assert result.availability() < 1.0
 
     def test_batched_queue_limit_rejects(self, squeezenet_engine):
         result, system = self._fleet(
             squeezenet_engine, ResilienceConfig(),
             batching=BatchingConfig(window_s=0.05))
-        assert result.availability == 1.0
+        assert result.availability() == 1.0
         assert system.server.rejected_count > 0
 
     def test_busy_reply_fields(self):
@@ -225,13 +225,13 @@ class TestBatchedFaults:
 
     def test_resilient_batched_fleet_completes(self, squeezenet_engine):
         result = self._fleet(squeezenet_engine, ResilienceConfig(cooldown_s=2.0))
-        assert result.availability == 1.0
-        assert result.fallback_rate > 0
+        assert result.availability() == 1.0
+        assert result.fallback_rate() > 0
 
     def test_naive_batched_fleet_terminates_with_stalls(self, squeezenet_engine):
         # The drain loop must not hang even though requests die silently.
         result = self._fleet(squeezenet_engine, None)
-        assert result.availability < 1.0
+        assert result.availability() < 1.0
 
 
 class TestStaleLoadFactor:

@@ -56,17 +56,3 @@ class TestRealismBounds:
     def test_conv_output_dims_valid(self):
         for p in ConfigSampler(seed=6).sample_profiles("conv", 100):
             assert p.h_out >= 1 and p.w_out >= 1
-
-
-class TestTimedSampling:
-    def test_geometry_independent_of_backend(self):
-        a = ConfigSampler(seed=9).sample_timed("conv", 2, backend="naive", repeats=1)
-        b = ConfigSampler(seed=9).sample_timed("conv", 2, backend="planned", repeats=1)
-        assert [t.profile for t in a] == [t.profile for t in b]
-        assert all(t.wall_s > 0 for t in a + b)
-
-    def test_fused_category_measurable(self):
-        samples = ConfigSampler(seed=2).sample_timed("matmul_fused", 1,
-                                                     backend="planned", repeats=1)
-        assert samples[0].profile.op == "fused_matmul"
-        assert samples[0].wall_s > 0

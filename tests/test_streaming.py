@@ -43,11 +43,6 @@ class TestStreamingConfig:
         cfg = StreamingConfig()
         assert cfg.codecs == ("fp32", "zlib")
         assert not cfg.allow_lossy
-        assert not cfg.is_degenerate
-
-    def test_degenerate(self):
-        assert StreamingConfig(chunk_bytes=None, codecs=("fp32",)).is_degenerate
-        assert not StreamingConfig(chunk_bytes=None).is_degenerate
 
     def test_lossy_requires_opt_in(self):
         with pytest.raises(ValueError, match="lossy"):

@@ -34,6 +34,7 @@ from repro.runtime.transport import (
     recv_frame,
     send_frame,
 )
+from tests.helpers import error_bound, max_abs_error, round_trip
 
 MODEL = "squeezenet"
 SEED = 11
@@ -110,11 +111,11 @@ class TestLoopback:
         out = _with_session(drive)
         codec = TensorCodec("int8")
         for tensor in boundary.values():
-            assert codec.max_abs_error(tensor) <= codec.error_bound(tensor)
+            assert max_abs_error(codec, tensor) <= error_bound(codec, tensor)
         executor = GraphExecutor(graph, seed=SEED)
         part = GraphPartitioner(graph).partition(POINT)
         tail = SegmentExecutor(part.tail, params=executor.params)
-        expected = tail.run({k: codec.round_trip(v)
+        expected = tail.run({k: round_trip(codec, v)
                              for k, v in boundary.items()})[graph.output_name]
         assert out.result.tobytes() == np.ascontiguousarray(expected).tobytes()
 

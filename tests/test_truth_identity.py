@@ -34,7 +34,7 @@ from repro.hardware.background import IDLE, LoadLevel, fig9_schedule
 from repro.hardware.device_model import DeviceModel, lognormal_factor
 from repro.hardware.gpu_model import GpuModel
 from repro.hardware.gpu_scheduler import GpuScheduler
-from repro.models import list_exit_models, list_models
+from repro.models import EXIT_MODEL_SPECS, list_models
 from repro.network.estimator import BandwidthEstimator
 from repro.network.faults import ServerFaultPlan
 from repro.network.traces import ConstantTrace
@@ -135,15 +135,9 @@ REFERENCES = [
 ]
 
 
-def flatten(result):
-    if hasattr(result, "timelines"):
-        return [r for timeline in result.timelines for r in timeline]
-    return list(result)
-
-
 def assert_same_as_reference(monkeypatch, run):
     """``run()`` gives the same records with every reference patched in."""
-    records = flatten(run())
+    records = list(run())
     calls = {name: 0 for _cls, name, _ref in REFERENCES}
 
     def counted(name, ref):
@@ -155,7 +149,7 @@ def assert_same_as_reference(monkeypatch, run):
     with monkeypatch.context() as m:
         for cls, name, ref in REFERENCES:
             m.setattr(cls, name, counted(name, ref))
-        reference = flatten(run())
+        reference = list(run())
     assert calls["sample_graph_time"] and calls["sample_kernel_times"]
     assert calls["estimate"] and calls["execute"]
     assert calls["partition"]
@@ -194,7 +188,7 @@ class TestSystemsMatchReference:
                                     resilience=ResilienceConfig(max_retries=2)),
             ).run(6.0)
 
-        records = flatten(run())
+        records = list(run())
         assert len({r.exit_index for r in records}) > 1
         assert any(r.batch_size and r.batch_size > 1 for r in records)
         calls = assert_same_as_reference(monkeypatch, run)
@@ -208,7 +202,7 @@ class TestSystemsMatchReference:
                 config=SystemConfig(seed=3),
             ).run(260.0)
 
-        records = flatten(run())
+        records = list(run())
         assert len({r.partition_point for r in records}) > 1
         assert_same_as_reference(monkeypatch, run)
 
@@ -362,7 +356,7 @@ class TestWindowSums:
 def _partitioners(engine_for, exit_engine_for):
     for model in list_models():
         yield model, engine_for(model).partitioner
-    for family in list_exit_models():
+    for family in sorted(EXIT_MODEL_SPECS):
         engine = exit_engine_for(family)
         for e in range(engine.num_exits):
             yield f"{family}/exit{e}", engine.exit_engine(e).partitioner
@@ -373,7 +367,7 @@ class TestSharedPartitions:
         checked = 0
         for label, shared in _partitioners(engine_for, exit_engine_for):
             fresh = GraphPartitioner(shared.graph)
-            for p in range(shared.num_points):
+            for p in range(len(shared.graph.topological_order()) + 1):
                 part, ref = shared.partition(p), fresh.partition(p)
                 assert shared.partition(p) is part, (label, p)
                 assert part == ref, (label, p)
@@ -386,11 +380,11 @@ class TestSharedPartitions:
     def test_caches_over_one_partitioner_keep_their_own_counts(
             self, engine_for, exit_engine_for):
         for label, shared in _partitioners(engine_for, exit_engine_for):
-            device = PartitionCache(shared, capacity=shared.num_points)
-            server = PartitionCache(shared, capacity=shared.num_points)
-            for p in range(shared.num_points):
+            n = len(shared.graph.topological_order()) + 1
+            device = PartitionCache(shared, capacity=n)
+            server = PartitionCache(shared, capacity=n)
+            for p in range(n):
                 assert device.get(p) is server.get(p) is device.get(p)
-            n = shared.num_points
             assert (device.hits, device.misses) == (n, n), label
             assert (server.hits, server.misses) == (0, n), label
             server.clear()  # a server restart
