@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, NamedTuple, Protocol, Tuple
+from typing import Dict, Generator, NamedTuple, Protocol, Tuple
 
 import numpy as np
 
@@ -37,6 +37,14 @@ from repro.nn.executor import SegmentExecutor, _check_backend, init_parameters
 from repro.runtime.messages import BusyReply, InferenceRecord, OffloadReply
 from repro.runtime.resilience import CircuitBreaker, ResilienceConfig
 from repro.runtime.server import PARTITION_OVERHEAD_S, EdgeServer
+
+
+#: A server step's answer: the reply (``None`` when none ever comes) and
+#: the stepper's clock when it came.
+Answer = Tuple["OffloadReply | BusyReply | None", float]
+#: One request's :meth:`UserDevice.lifecycle`: yields server steps and
+#: waits, is sent answers, returns the record.
+Lifecycle = Generator["PendingOffload | float", "Answer | None", InferenceRecord]
 
 
 class DecisionPolicy(Protocol):
@@ -68,9 +76,9 @@ class PendingOffload:
     """Device-side state of one offload whose server reply is outstanding.
 
     Produced by :meth:`UserDevice.begin_inference` when the decision is to
-    offload; the batched fleet driver parks it in the server's batch queue
-    and finishes the record via :meth:`UserDevice.complete_inference` once
-    the batch flushes.
+    offload; the request's :meth:`UserDevice.lifecycle` yields it as the
+    attempt's server step and finishes the record via
+    :meth:`UserDevice.complete_inference` from the server's answer.
 
     Under a resilient configuration ``timeout_s`` is the attempt's
     network-side deadline (upload + server + download budget, armed when
@@ -591,20 +599,17 @@ class UserDevice:
         )
 
     def complete_inference(self, pending: PendingOffload, reply: OffloadReply,
-                           download_at_s: float | None = None,
-                           download_timeout_s: float | None = None,
+                           download_at_s: float, download_timeout_s: float,
                            ) -> InferenceRecord:
         """Finish a pending offload from the server's reply.
 
         ``download_at_s`` is when the result starts downloading — the upload
-        arrival time in the synchronous path, the batch completion time
+        arrival time under immediate execution, the batch completion time
         under dynamic batching.  A download that misses
-        ``download_timeout_s`` (or never completes) yields a
-        ``status="failed"`` record; the resilient retry loop turns that
-        into another attempt.
+        ``download_timeout_s`` (``inf`` for a trusting device) or never
+        completes yields a ``status="failed"`` record; the lifecycle turns
+        that into a retry, a fallback or a stall.
         """
-        if download_at_s is None:
-            download_at_s = pending.arrive_s
         result = self.channel.try_download(
             reply.result_bytes, download_at_s, self._rng,
             timeout_s=download_timeout_s,
@@ -694,110 +699,110 @@ class UserDevice:
         return record
 
     def request_inference(self, now_s: float) -> InferenceRecord:
-        """Run one end-to-end inference starting at ``now_s``."""
-        if self.resilience is not None:
-            return self._request_resilient(now_s)
-        pending = self.begin_inference(now_s)
-        if isinstance(pending, InferenceRecord):
-            return pending
-        reply = self.server.handle_offload(
-            pending.arrive_s, pending.request_id, pending.partition_point,
-            tensors=pending.transfers, arrivals=pending.arrivals,
-            exit_index=pending.exit_index,
-        )
-        if not isinstance(reply, OffloadReply):
-            # Crashed (None) or shedding (BusyReply): a non-resilient device
-            # understands neither and waits forever.
-            return self._failed_record(
-                pending.request_id, pending.start_s, pending.partition_point,
-                pending.estimated_bandwidth_bps, pending.k_used,
-                device_s=pending.device_s, upload_s=pending.upload_s,
-                overhead_s=pending.overhead_s,
-                device_cache_hit=pending.device_cache_hit,
-                exit_index=pending.exit_index,
-            )
-        return self.complete_inference(pending, reply)
+        """Run one end-to-end inference starting at ``now_s``, at once: the
+        server answers at the upload's arrival and waits cost nothing."""
+        request, answer = self.lifecycle(now_s), None
+        while True:
+            try:
+                step = request.send(answer)
+            except StopIteration as done:
+                return done.value
+            answer = None
+            if isinstance(step, PendingOffload):
+                answer = (self.server.handle_offload(
+                    step.arrive_s, step.request_id, step.partition_point,
+                    tensors=step.transfers, arrivals=step.arrivals,
+                    exit_index=step.exit_index), now_s)
 
-    def _request_resilient(self, now_s: float) -> InferenceRecord:
-        """Deadline + retry + circuit-breaker wrapper around one inference."""
-        cfg = self.resilience
-        breaker = self.breaker
-        assert cfg is not None and breaker is not None
+    def lifecycle(self, now_s: float, *, batched: bool = False) -> Lifecycle:
+        """One request issued at ``now_s``: decide → head → upload →
+        server → download, with backoff, breaker, fallback and stall
+        transitions.
 
+        A generator that yields each attempt's server step as its
+        :class:`PendingOffload`, answered with ``(reply, at_s)``: the
+        server's :class:`OffloadReply`, a :class:`BusyReply`, or ``None``
+        when no reply ever comes, and the stepper's clock.  It yields each
+        wait as the instant to resume at, and returns the record.
+        :meth:`request_inference` steps it at the issue instant; the
+        batched :class:`~repro.runtime.driver.Driver` steps it on events.
+
+        Two forks remain until the causal switch planned in ROADMAP: a
+        ``batched`` request falls back at its first failure instead of
+        retrying, and an immediate download starts at the upload's arrival
+        instead of when the tail is done.
+        """
+        cfg, breaker, sla = self.resilience, self.breaker, self.sla_s
+        if breaker is not None and not breaker.allow_offload(now_s):
+            return self.fallback_record(None, now_s, now_s)
         clock = now_s
         retries = 0
         rejected = False
-        timeout_seen = 0.0
         request_id: int | None = None
-        sla = self.sla_s
-
-        if not breaker.allow_offload(clock):
-            return self.fallback_record(None, clock, clock)
-
+        attempt: Attempt | None = None
         while True:
             # Retries have already burned part of the class SLA; the
             # attempt's decision and deadline run on what is left.
             budget = None if sla is None else max(sla - (clock - now_s), 0.0)
-            attempt = None
-            if retries:
-                attempt = Attempt(now_s, retries, timeout_seen,
-                                  "rejected" if rejected else "fallback_local")
             pending = self.begin_inference(clock, request_id=request_id,
                                            sla_budget_s=budget, attempt=attempt)
             if isinstance(pending, InferenceRecord):
-                # The decision itself chose local.  On the first attempt
-                # that is normal operation; after failures it is the
-                # degraded path (the failures fed the estimator/k).
+                # The decision itself chose local (after failures, the
+                # degraded path: they fed the estimator and k), or a
+                # trusting device's upload died and it waits forever.
                 return pending
             request_id = pending.request_id
-            timeout_seen = pending.timeout_s
-
-            failed_at = None  # when the device learned this attempt died
-            if not pending.delivered:
-                failed_at = pending.deadline_s
-            else:
-                reply = self.server.handle_offload(
-                    pending.arrive_s, pending.request_id,
-                    pending.partition_point, tensors=pending.transfers,
-                    arrivals=pending.arrivals,
+            reply, at_s = (yield pending) if pending.delivered else (None, clock)
+            if isinstance(reply, OffloadReply):
+                # The tail cannot start before the upload has landed.
+                done_s = (max(at_s, pending.arrive_s) + reply.server_exec_s
+                          - reply.queue_s)
+                remaining = pending.deadline_s - done_s
+                if remaining > 0:
+                    record = self.complete_inference(
+                        pending, reply,
+                        download_at_s=done_s if batched else pending.arrive_s,
+                        download_timeout_s=remaining)
+                    if cfg is None or record.status != "failed":
+                        if breaker is not None:
+                            breaker.record_success(done_s)
+                        return record
+            if cfg is None:
+                # Crashed (None) or shedding (BusyReply): a trusting device
+                # understands neither and waits forever.
+                return self._failed_record(
+                    pending.request_id, pending.start_s, pending.partition_point,
+                    pending.estimated_bandwidth_bps, pending.k_used,
+                    device_s=pending.device_s, upload_s=pending.upload_s,
+                    overhead_s=pending.overhead_s,
+                    device_cache_hit=pending.device_cache_hit,
                     exit_index=pending.exit_index,
                 )
-                if isinstance(reply, OffloadReply):
-                    remaining = (pending.timeout_s - pending.upload_s
-                                 - pending.decode_s - reply.server_exec_s)
-                    if remaining > 0:
-                        record = self.complete_inference(
-                            pending, reply, download_timeout_s=remaining
-                        )
-                        if record.status != "failed":
-                            finish_s = pending.arrive_s + reply.server_exec_s
-                            breaker.record_success(finish_s)
-                            return record
-                    failed_at = pending.deadline_s
-                elif isinstance(reply, BusyReply):
-                    # Fast shed: the rejection round-trips immediately; the
-                    # device honours retry_after before trying again.
-                    rejected = True
-                    clock = (pending.arrive_s + self.channel.params.base_latency_s
-                             + reply.retry_after_s)
-                else:
-                    # Crashed server: no reply ever comes; the deadline fires.
-                    failed_at = pending.deadline_s
-
-            if failed_at is not None:
-                clock = failed_at
+            busy = isinstance(reply, BusyReply)
+            if busy:
+                # A shed request is answered at once; the device honours
+                # retry_after before trying again.  A rejection is an
+                # answer, not a path failure.
+                rejected = True
+                clock = (pending.arrive_s + self.channel.params.base_latency_s
+                         + reply.retry_after_s)
+            else:
+                # No timely answer: the deadline fires, or the stepper
+                # noticed the failure after it.
+                clock = max(pending.deadline_s, at_s)
                 breaker.record_failure(clock)
-
-            if (retries >= cfg.max_retries
+            status = "rejected" if rejected else "fallback_local"
+            if (batched or retries >= cfg.max_retries
                     or not breaker.allow_offload(clock)
                     # An exhausted SLA ends the retry loop: another attempt
                     # cannot meet the deadline, only waste more latency.
                     or (sla is not None and clock - now_s >= sla)):
+                yield clock
                 return self.fallback_record(
                     request_id, now_s, clock, retries=retries,
-                    timeout_s=timeout_seen,
-                    status="rejected" if rejected else "fallback_local",
-                )
+                    timeout_s=pending.timeout_s, status=status)
             retries += 1
-            if failed_at is not None:
+            if not busy:
                 clock += cfg.backoff_s(retries, float(self._rng.random()))
+            yield clock
+            attempt = Attempt(now_s, retries, pending.timeout_s, status)

@@ -10,15 +10,20 @@ that loop for any number of clients and servers on one
   its previous request ended (``start + total + think``);
 - profiler ticks (staggered across the clients of a fleet), one watchdog
   per server and the optional supervisor tick are periodic events;
-- execution is *immediate* — ``request_inference`` resolves the whole
-  request, retries included, at its issue instant — or *batched* under
-  ``SystemConfig(batching=...)``: begin (decide + head + upload), arrive
-  at the server's batch queue, flush one batched tail execution.
+- each request is one client lifecycle
+  (:meth:`~repro.runtime.client.UserDevice.lifecycle`), stepped
+  *immediately* — ``request_inference`` resolves it, retries included,
+  at its issue instant — or, under ``SystemConfig(batching=...)``, on
+  events: the upload's arrival at the server's ``(exit, point)`` queue,
+  the flush that answers it with one batched tail execution, and each
+  wait as a scheduled resume.  A full queue answers ``BusyReply``, as
+  the server's own admission control does.
 
 At one instant, requests fire after every other event (ticks, arrivals,
 flushes), and otherwise in scheduling order.  A run fires every event up
 to the horizon; once ``max_requests`` records exist it stops at the next
-unissued request instead; then it drains in-flight batched requests.
+unissued request instead; then it drains the requests in flight (issued,
+with no record yet).
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
 from repro.runtime.batching import DynamicBatcher, PendingRequest
-from repro.runtime.client import PendingOffload, UserDevice
+from repro.runtime.client import Answer, Lifecycle, PendingOffload, UserDevice
 from repro.runtime.events import EventLoop
-from repro.runtime.messages import InferenceRecord
+from repro.runtime.messages import BusyReply, InferenceRecord
 from repro.runtime.server import EdgeServer
 
 if TYPE_CHECKING:
@@ -96,14 +101,13 @@ class Driver:
             self._schedule(i, start + i * REQUEST_STAGGER_S)
 
         loop.run_until(duration_s)
-        # Drain in-flight batched requests (arrivals and window flushes may
-        # land shortly after the horizon).
+        # Drain batched requests in flight: arrivals, window flushes and
+        # fallbacks due at deadlines may land shortly after the horizon.
         while self._in_flight > 0:
             loop.run_until(loop.now + max(cfg.batching.window_s, 1e-3))
-        # An event left on the loop (a failed offload's fallback due after
-        # the drain, a stale batch timer) keeps this driver alive until the
-        # cyclic garbage collector runs; the records go to the caller
-        # instead of living on with it.
+        # An event left on the loop (a stale batch timer) keeps this driver
+        # alive until the cyclic garbage collector runs; the records go to
+        # the caller instead of living on with it.
         records, self._records = self._records, [[] for _ in self.clients]
         return records
 
@@ -120,12 +124,17 @@ class Driver:
     def _issue(self, i: int) -> None:
         if self._max_requests is not None and self._finished >= self._max_requests:
             self.loop.stop()
-        elif self._batcher is None:
-            self._finish(i, self.clients[i].request_inference(self.loop.now))
+            return
+        # A request is in flight from its issue to its record.
+        self._in_flight += 1
+        client = self.clients[i]
+        if self._batcher is None:
+            self._finish(i, client.request_inference(self.loop.now))
         else:
-            self._begin(i)
+            self._step(i, client.lifecycle(self.loop.now, batched=True))
 
     def _finish(self, i: int, record: InferenceRecord) -> None:
+        self._in_flight -= 1
         self._records[i].append(record)
         self._finished += 1
         if self._on_record is not None:
@@ -134,57 +143,25 @@ class Driver:
 
     # -- batched execution -------------------------------------------------
     #
-    # All requests of a flush share one batched tail execution and finish
-    # together; queueing delay lands in each record's ``server_s``, so a
-    # client's next request is scheduled exactly as under immediate
-    # execution.
+    # The driver steps each request's lifecycle on events: the upload's
+    # arrival at its ``(exit, point)`` queue, the flush that answers it and
+    # every wait the lifecycle asks for.  All requests of a flush share one
+    # batched tail execution; queueing delay lands in each record's
+    # ``server_s``, so a client's next request is scheduled exactly as
+    # under immediate execution.
 
-    def _begin(self, i: int) -> None:
-        loop, client = self.loop, self.clients[i]
-        if client.breaker is not None and not client.breaker.allow_offload(loop.now):
-            self._finish(i, client.fallback_record(None, loop.now, loop.now))
+    def _step(self, i: int, request: Lifecycle, answer: Answer | None = None) -> None:
+        try:
+            step = request.send(answer)
+        except StopIteration as done:
+            self._finish(i, done.value)
             return
-        pending = client.begin_inference(loop.now)
-        if isinstance(pending, InferenceRecord):
-            self._finish(i, pending)
-            return
-        self._in_flight += 1
-        if not pending.delivered:
-            # The upload never made it; the device notices at its deadline
-            # and falls back.
-            self._fail(i, pending)
-            return
-        loop.schedule_at(pending.arrive_s, lambda: self._arrive(i, pending))
+        if isinstance(step, PendingOffload):
+            self.loop.schedule_at(step.arrive_s, lambda: self._arrive(i, request, step))
+        else:
+            self.loop.schedule_at(step, lambda: self._step(i, request))
 
-    def _fail(self, i: int, pending: PendingOffload,
-              status: str = "fallback_local") -> None:
-        """Resolve a doomed offload: local fallback or a stalled record.
-
-        Batched mode fails fast — no retries through the queue; a resilient
-        client falls back to local inference at the moment its deadline
-        fires (or immediately for a rejection).
-        """
-        self._in_flight -= 1
-        loop, client = self.loop, self.clients[i]
-        if client.resilience is None:
-            self._finish(i, client._failed_record(
-                pending.request_id, pending.start_s, pending.partition_point,
-                pending.estimated_bandwidth_bps, pending.k_used,
-                device_s=pending.device_s, upload_s=pending.upload_s,
-                overhead_s=pending.overhead_s,
-                device_cache_hit=pending.device_cache_hit,
-                exit_index=pending.exit_index,
-            ))
-            return
-        resolve_s = loop.now if status == "rejected" else max(
-            pending.deadline_s, loop.now)
-        assert client.breaker is not None
-        client.breaker.record_failure(resolve_s)
-        loop.schedule_at(resolve_s, lambda: self._finish(i, client.fallback_record(
-            pending.request_id, pending.start_s, loop.now,
-            timeout_s=pending.timeout_s, status=status)))
-
-    def _arrive(self, i: int, pending: PendingOffload) -> None:
+    def _arrive(self, i: int, request: Lifecycle, pending: PendingOffload) -> None:
         loop, server = self.loop, self.servers[0]
         # Requests co-batch only within one (exit, point) cell: tails of
         # different exit graphs (or cut depths) cannot share a batched
@@ -193,18 +170,19 @@ class Driver:
         key = (-1 if pending.exit_index is None else pending.exit_index,
                pending.partition_point)
         if not server.available_at(loop.now):
-            self._fail(i, pending)
+            self._step(i, request, (None, loop.now))
             return
         sf = server.fault_plan
         if (sf is not None and sf.queue_limit is not None
                 and self._batcher.queue_depth(key) >= sf.queue_limit):
             # Admission control sheds the request before it queues.
             server.rejected_count += 1
-            self._fail(i, pending, status="rejected")
+            self._step(i, request, (BusyReply(pending.request_id, sf.retry_after_s),
+                                    loop.now))
             return
-        request = PendingRequest(request_id=pending.request_id, enqueue_s=loop.now,
-                                 tensors=pending.transfers, context=(i, pending))
-        flush_now, epoch = self._batcher.enqueue(key, request)
+        queued = PendingRequest(request_id=pending.request_id, enqueue_s=loop.now,
+                                tensors=pending.transfers, context=(i, request))
+        flush_now, epoch = self._batcher.enqueue(key, queued)
         if flush_now:
             self._flush(key)
         elif self._batcher.queue_depth(key) == 1:
@@ -218,35 +196,11 @@ class Driver:
         batch = self._batcher.take(key, epoch)
         if not batch:
             return
+        # ``None``: the server crashed between arrival and flush, and the
+        # whole batch dies.
         replies = self.servers[0].handle_offload_batch(
             loop.now, batch, point, self.config.batching,
             exit_index=None if exit_key < 0 else exit_key,
-        )
-        if replies is None:
-            # The server crashed between arrival and flush: the whole batch
-            # dies; each client resolves at its own deadline.
-            for request in batch:
-                self._fail(*request.context)
-            return
-        # All requests leave the GPU together, one batch execution later.
-        done_s = loop.now + replies[0].server_exec_s - replies[0].queue_s
-        for request, reply in zip(batch, replies):
-            i, pending = request.context
-            client = self.clients[i]
-            if done_s > pending.deadline_s:
-                # Queueing + execution overshot this request's deadline: the
-                # device already gave up waiting.
-                self._fail(i, pending)
-                continue
-            budget = None
-            if client.resilience is not None:
-                budget = pending.deadline_s - done_s
-            record = client.complete_inference(
-                pending, reply, download_at_s=done_s, download_timeout_s=budget)
-            if record.status == "failed" and client.resilience is not None:
-                self._fail(i, pending)
-                continue
-            if client.breaker is not None and record.status != "failed":
-                client.breaker.record_success(done_s)
-            self._in_flight -= 1
-            self._finish(i, record)
+        ) or [None] * len(batch)
+        for queued, reply in zip(batch, replies):
+            self._step(*queued.context, (reply, loop.now))

@@ -49,7 +49,7 @@ from repro.network.traces import BandwidthTrace, ConstantTrace
 from repro.runtime.client import Attempt, UserDevice
 from repro.runtime.driver import Driver
 from repro.runtime.events import EventLoop
-from repro.runtime.messages import BusyReply, InferenceRecord
+from repro.runtime.messages import BusyReply
 from repro.runtime.multi import SharedEdgeServer, SharedLoadTracker
 from repro.runtime.server import EdgeServer
 from repro.runtime.supervisor import FleetSupervisor, SupervisorConfig
@@ -362,23 +362,19 @@ class GatewayDevice(UserDevice):
         self.policy = _GatewayPolicy(self)
         self._now_s = 0.0
         self._retrying = False
-        self._routed_request_id: int | None = None
         self._routed_server_id: int | None = None
 
     def begin_inference(self, now_s: float, *, request_id: int | None = None,
                         force_local: bool = False,
                         sla_budget_s: float | None = None,
                         attempt: Attempt | None = None):
+        # A retry re-routes away from the server its request last tried.
         self._now_s = now_s
-        self._retrying = (request_id is not None
-                          and request_id == self._routed_request_id)
-        result = super().begin_inference(now_s, request_id=request_id,
-                                         force_local=force_local,
-                                         sla_budget_s=sla_budget_s,
-                                         attempt=attempt)
-        if not force_local and not isinstance(result, InferenceRecord):
-            self._routed_request_id = result.request_id
-        return result
+        self._retrying = attempt is not None and attempt.retries > 0
+        return super().begin_inference(now_s, request_id=request_id,
+                                       force_local=force_local,
+                                       sla_budget_s=sla_budget_s,
+                                       attempt=attempt)
 
     def _route(self, sla_s: float | None, bandwidth_up: float,
                k: float) -> GridDecision:

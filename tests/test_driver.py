@@ -202,3 +202,38 @@ def test_records_leave_with_the_caller(squeezenet_engine):
         assert record() is None
     finally:
         gc.enable()
+
+
+def test_records_leave_past_a_stale_batch_timer(squeezenet_engine):
+    """A queue flushed early at ``max_batch`` leaves its window timer on
+    the loop after the run.  That event keeps the driver alive until the
+    cyclic collector runs, and the records it returned must not wait
+    with it."""
+    system = MultiClientSystem(squeezenet_engine, 8, config=SystemConfig(
+        seed=2, batching=BatchingConfig(window_s=0.05, max_batch=2)))
+    gc.disable()
+    try:
+        result = system.run(1.0)
+        record = weakref.ref(result.timelines[0].records[0])
+        del result, system
+        assert record() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("faults", [
+    None, FaultPlan(seed=5, drop_prob=0.3, outages=((1.0, 1.4),))],
+    ids=["clean", "lossy"])
+@pytest.mark.parametrize("resilience", [None, ResilienceConfig()],
+                         ids=["naive", "resilient"])
+@pytest.mark.parametrize("batching", [None, BatchingConfig(window_s=0.01)],
+                         ids=["immediate", "batched"])
+def test_every_issued_request_gets_a_record(squeezenet_engine, batching,
+                                            resilience, faults):
+    """A request is in flight from its issue to its record, so the drain
+    waits for a failed batched offload whose fallback falls due at its
+    deadline, after the horizon."""
+    system = MultiClientSystem(squeezenet_engine, 6, config=SystemConfig(
+        seed=1, batching=batching, resilience=resilience, faults=faults))
+    result = system.run(4.0)
+    assert len(result) == sum(c._request_seq for c in system.clients)

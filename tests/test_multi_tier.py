@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.multi_tier import (
-    multi_tier_objective,
-    MultiTierDecision,
     multi_tier_brute_force,
     multi_tier_decision,
+    multi_tier_objective,
 )
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.partition_algorithm import (
-    PartitionDecision,
     compute_prefix_device,
     compute_suffix_edge,
     partition_decision,

@@ -208,6 +208,21 @@ class TestAdmissionControl:
         assert result.availability() == 1.0
         assert system.server.rejected_count > 0
 
+    def test_batched_rejection_is_an_answer(self, squeezenet_engine):
+        """A full batch queue answers BusyReply, as the server's own
+        admission control does: the device waits out ``retry_after_s``
+        (and the link's base latency) before it falls back, and the
+        rejection is not a breaker failure."""
+        plan = ServerFaultPlan(queue_limit=1, retry_after_s=0.5)
+        system = MultiClientSystem(squeezenet_engine, 6, config=SystemConfig(
+            seed=7, server_faults=plan, resilience=ResilienceConfig(),
+            batching=BatchingConfig(window_s=0.01)))
+        rejected = [r for r in system.run(3.0) if r.status == "rejected"]
+        assert rejected
+        assert all(r.wasted_s >= plan.retry_after_s for r in rejected)
+        # A clean link and a live server: nothing else can fail.
+        assert [c.breaker.failure_count for c in system.clients] == [0] * 6
+
     def test_busy_reply_fields(self):
         reply = BusyReply(request_id=4, retry_after_s=0.1)
         assert reply.status == "rejected"
