@@ -776,6 +776,8 @@ class UserDevice:
                     device_s=pending.device_s, upload_s=pending.upload_s,
                     overhead_s=pending.overhead_s,
                     device_cache_hit=pending.device_cache_hit,
+                    codec=pending.codec, encode_s=pending.encode_s,
+                    chunks=pending.chunks,
                     exit_index=pending.exit_index,
                 )
             busy = isinstance(reply, BusyReply)

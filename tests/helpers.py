@@ -5,12 +5,13 @@ was factored out of the batched-plan tests so every differential sweep —
 batched plans, exit heads, future backends — asserts the same contract: a
 planned run must equal independent naive batch-1 runs **bit for bit**, per
 sample.  The references (``brute_force``, ``fleet_objective``,
-``exit_fleet_brute_force``, ``lrn_reference``) and the codec accuracy
-helpers live here because only tests call them.
+``exit_fleet_brute_force``, ``lrn_reference``, ``nnls_brute_force``) and
+the codec accuracy helpers live here because only tests call them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Any, Dict, Sequence
 
@@ -242,6 +243,31 @@ def prefix_point(cut, order: Sequence[str]) -> int | None:
     topological prefix of ``order`` (None otherwise)."""
     p = len(cut.device_nodes)
     return p if set(order[:p]) == set(cut.device_nodes) else None
+
+
+def nnls_brute_force(A: np.ndarray, b: np.ndarray):
+    """Non-negative least squares by enumeration: ``(x, ‖A x − b‖)``.
+
+    The optimum is the least-squares solution on its own support, so it is
+    the feasible one (every coefficient positive) with the least residual
+    among the least-squares solutions on every subset of columns.  Subsets
+    run smallest first, in index order, and one replaces the best only if
+    its residual is smaller by more than ``1e-12 ‖b‖``: among equal
+    residuals the earliest, smallest support wins.
+    """
+    n = A.shape[1]
+    best_x, best_r = np.zeros(n), float(np.linalg.norm(b))
+    slack = 1e-12 * best_r
+    for size in range(1, n + 1):
+        for support in map(list, itertools.combinations(range(n), size)):
+            z = np.linalg.lstsq(A[:, support], b, rcond=None)[0]
+            if np.all(z > 0):
+                x = np.zeros(n)
+                x[support] = z
+                r = float(np.linalg.norm(A @ x - b))
+                if r < best_r - slack:
+                    best_x, best_r = x, r
+    return best_x, best_r
 
 
 # -- codec accuracy ---------------------------------------------------------

@@ -186,24 +186,6 @@ def test_run_ends_at_horizon(squeezenet_engine, build):
     assert system.loop.now == 1.7
 
 
-def test_records_leave_with_the_caller(squeezenet_engine):
-    """A batched offload whose upload is lost resolves at its deadline,
-    which can fall after the run: that event keeps the driver alive until
-    the cyclic collector runs, and the records it returned must not wait
-    with it."""
-    system = MultiClientSystem(squeezenet_engine, 4, config=SystemConfig(
-        seed=2, batching=BatchingConfig(window_s=0.01),
-        resilience=ResilienceConfig(), faults=FaultPlan(drop_prob=0.3, seed=5)))
-    gc.disable()
-    try:
-        result = system.run(1.0)
-        record = weakref.ref(result.timelines[0].records[0])
-        del result, system
-        assert record() is None
-    finally:
-        gc.enable()
-
-
 def test_records_leave_past_a_stale_batch_timer(squeezenet_engine):
     """A queue flushed early at ``max_batch`` leaves its window timer on
     the loop after the run.  That event keeps the driver alive until the

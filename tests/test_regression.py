@@ -1,13 +1,21 @@
-"""NNLS regression: the paper's fitting constraints."""
+"""NNLS regression: the paper's fitting constraints, the solver against an
+enumeration reference, and fixed-order arithmetic with no SciPy or BLAS."""
 
+import ast
+import inspect
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.profiling.regression import NNLSModel
+from repro.profiling import regression
+from repro.profiling.offline import OfflineProfiler
+from repro.profiling.regression import NNLSModel, nnls
+from tests.helpers import nnls_brute_force
 
 
 class TestFit:
@@ -89,21 +97,115 @@ class TestSerialisation:
             NNLSModel(["a"]).to_dict()
 
 
-def test_scipy_loads_at_the_first_fit_only():
-    """Importing the package, or the TCP server's module, leaves SciPy's
-    solver unloaded; fitting a model loads it and still works."""
+@st.composite
+def nnls_problems(draw):
+    """Small integer problems of full column rank, then a zero column, a
+    duplicate column or an all-zero ``y`` on top.  Small integers keep
+    every nonzero gradient and coefficient far above rounding noise, so
+    the zero pattern of the optimum is well defined."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(n, 6))
+    entries = st.integers(-4, 4)
+    A = np.array(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                               min_size=m, max_size=m)), dtype=np.float64)
+    assume(np.linalg.matrix_rank(A) == n)
+    y = np.array(draw(st.lists(entries, min_size=m, max_size=m)), dtype=np.float64)
+    y *= draw(st.sampled_from([1e-6, 1.0, 1e3]))
+    if draw(st.booleans()):
+        A = np.insert(A, draw(st.integers(0, A.shape[1])), 0.0, axis=1)
+    if draw(st.booleans()):
+        copy = A[:, draw(st.integers(0, A.shape[1] - 1))]
+        A = np.insert(A, draw(st.integers(0, A.shape[1])), copy, axis=1)
+    if draw(st.booleans()):
+        y = np.zeros_like(y)
+    return A, y
+
+
+def assert_matches_reference(A, y):
+    x = nnls(A, y)
+    reference, reference_rnorm = nnls_brute_force(A, y)
+    assert np.all(x >= 0)
+    np.testing.assert_array_equal(x > 0, reference > 0)
+    assert np.linalg.norm(A @ x - y) <= reference_rnorm + 1e-12 * np.linalg.norm(y)
+
+
+class TestSolver:
+    @given(problem=nnls_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, problem):
+        assert_matches_reference(*problem)
+
+    @pytest.mark.parametrize("A, y, expected", [
+        ([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [2.0, 1.0, 1.0], [1.5, 1.0]),
+        ([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [-1.0, -1.0, -1.0], [0.0, 0.0]),
+        ([[1.0, 1.0], [2.0, 2.0]], [3.0, 6.0], [3.0, 0.0]),
+        ([[0.0, 1.0], [0.0, 2.0]], [0.0, 0.0], [0.0, 0.0]),
+    ], ids=["interior", "all_negative", "duplicate", "zero"])
+    def test_small_cases(self, A, y, expected):
+        np.testing.assert_allclose(nnls(np.array(A), np.array(y)), expected,
+                                   rtol=1e-15)
+
+    def test_end_to_end_training_fits(self, monkeypatch):
+        """The 16 category x side fits of the end-to-end benchmark's
+        offline profile (150 samples per category, seed 3)."""
+        fits = []
+
+        def recording(A, y):
+            fits.append((A, y))
+            return nnls(A, y)
+
+        monkeypatch.setattr(regression, "nnls", recording)
+        OfflineProfiler(samples_per_category=150, seed=3).run()
+        assert len(fits) == 16
+        for A, y in fits:
+            assert_matches_reference(A, y)
+
+
+def test_predict_is_a_fixed_order_sum(rng):
+    """``coef[0]·x[0] + coef[1]·x[1] + …`` left to right, in Python floats:
+    the bits every host computes, whatever its BLAS kernel."""
+    model = NNLSModel(["a", "b", "c", "d", "e"])
+    model.coef = rng.random(5) * np.array([1e-9, 1e-6, 1e-3, 1.0, 1e3])
+    X = rng.random((200, 5)) * np.array([1e10, 1e6, 1e3, 1.0, 1e-3])
+    for row, got in zip(X, model.predict(X)):
+        first, *rest = [c * v for c, v in zip(model.coef.tolist(), row.tolist())]
+        expected = first
+        for product in rest:
+            expected += product
+        assert got == expected
+        assert model.predict_one(row) == expected
+
+
+def test_regression_calls_no_blas():
+    """No ``@``, ``dot``, ``linalg``, ``einsum`` or ``matmul`` in the
+    module: each would hand the summation order to the BLAS kernel."""
+    tree = ast.parse(inspect.getsource(regression))
+    banned = {"dot", "linalg", "einsum", "matmul", "vdot", "inner", "tensordot"}
+    for node in ast.walk(tree):
+        assert not isinstance(node, ast.MatMult), ast.unparse(node)
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in banned, ast.unparse(node)
+
+
+def test_no_scipy_on_any_path():
+    """Importing the package and the TCP server's module, fitting the
+    latency models and running a small fleet load no SciPy module."""
     import repro
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
-        "import sys, numpy as np, repro, repro.runtime.transport\n"
-        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'\n"
-        "from repro.profiling.regression import NNLSModel\n"
-        "m = NNLSModel(['a', 'b']).fit(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),\n"
-        "                              np.array([2.0, 3.0, 5.0]))\n"
-        "assert np.allclose(m.coef, [2.0, 3.0])\n"
-        "assert 'scipy.optimize' in sys.modules\n"
+        "import sys, repro, repro.runtime.transport\n"
+        "from repro.core.engine import LoADPartEngine\n"
+        "from repro.models import build_model\n"
+        "from repro.profiling.offline import OfflineProfiler\n"
+        "from repro.runtime.multi import MultiClientSystem\n"
+        "report = OfflineProfiler(samples_per_category=40, seed=0).run()\n"
+        "engine = LoADPartEngine(build_model('squeezenet'), report.user_predictor,\n"
+        "                        report.edge_predictor)\n"
+        "assert len(MultiClientSystem(engine, 2).run(1.0)) > 0\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -14,8 +14,9 @@ Covers the streaming stack bottom-up:
 - :class:`PlanStream` — arrival-gated plan execution bit-identical to
   monolithic runs;
 - the runtime streamed path — a degenerate config is byte-identical to
-  no streaming at all, and lossless streamed runs reproduce the
-  non-streaming output bit-for-bit.
+  no streaming at all, lossless streamed runs reproduce the
+  non-streaming output bit-for-bit, and a stalled request's record
+  keeps the codec of the attempt it stalled on.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ import pytest
 
 from repro.graph.partitioner import GraphPartitioner
 from repro.network.channel import Channel, NetworkParams
-from repro.network.faults import FaultPlan, FaultyChannel
+from repro.network.faults import FaultPlan, FaultyChannel, ServerFaultPlan
 from repro.network.streaming import StreamingConfig, plan_chunks
 from repro.network.traces import ConstantTrace
 from repro.nn.executor import GraphExecutor
 from repro.nn.plan import SegmentPlan
+from repro.runtime.client import PendingOffload
+from repro.runtime.multi import MultiClientSystem
 from repro.runtime.system import OffloadingSystem, SystemConfig
 
 BW = 8e6
@@ -388,3 +391,32 @@ class TestRuntimeStreaming:
             assert record.completed and record.total_s > 0.0
         assert (system.device.last_output.tobytes()
                 == plain_sys.device.last_output.tobytes())
+
+    def test_stalled_records_keep_their_codec(self, squeezenet_engine):
+        """A trusting device whose streamed upload lands on a crashed
+        server waits forever; its record still names the attempt's codec,
+        encode time and chunk count, like an upload or download stall."""
+        config = SystemConfig(
+            seed=1, streaming=StreamingConfig(chunk_bytes=4096),
+            server_faults=ServerFaultPlan(crash_windows=((0.5, 3.0),)))
+        system = MultiClientSystem(squeezenet_engine, 3, config=config)
+        attempts = {}
+        for index, client in enumerate(system.clients):
+            def capture(*args, _begin=client.begin_inference, _index=index,
+                        **kwargs):
+                pending = _begin(*args, **kwargs)
+                if isinstance(pending, PendingOffload):
+                    attempts[_index, pending.request_id] = pending
+                return pending
+
+            client.begin_inference = capture
+        result = system.run(3.0)
+        stalled = [(index, record)
+                   for index, timeline in enumerate(result.timelines)
+                   for record in timeline if record.status == "failed"]
+        assert len(stalled) == 3
+        for index, record in stalled:
+            pending = attempts[index, record.request_id]
+            assert record.codec == pending.codec == "zlib"
+            assert record.encode_s == pending.encode_s > 0.0
+            assert record.chunks == pending.chunks
