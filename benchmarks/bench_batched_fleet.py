@@ -6,8 +6,8 @@ edge server and the functional array path:
 - **Simulated T4 throughput** (the headline): requests/s the modeled GPU
   serves when concurrent offloads are stacked into one batch, vs serving
   them one at a time.  Batched GPU execution costs
-  ``1 + (b - 1) * marginal_sample_cost`` of one sample, so a batch of 4 at
-  the default 0.35 marginal cost serves ``4 / 2.05 = 1.95x`` the requests
+  ``1 + (b - 1) * MARGINAL_SAMPLE_COST`` of one sample, so a batch of 4 at
+  the 0.35 marginal cost serves ``4 / 2.05 = 1.95x`` the requests
   per GPU-second.  This is where batching pays on real serving hardware.
 - **Host wall-clock** of the planned backend executing the same batch on
   real arrays, reported for transparency.  The bit-identity contract pins

@@ -139,7 +139,6 @@ def run_fleet(engine, seed: int, duration_s: float, num_servers: int) -> dict:
     result = system.run(duration_s)
     summary = _summarise(result, duration_s)
     summary["servers"] = _breakdown(result, len(system.servers))
-    summary["rejected_at_gateway"] = system.gateway.rejected_count
     summary["restarts_seen"] = {
         sid: h.restarts_seen for sid, h in system.supervisor.health.items()}
     return summary

@@ -65,6 +65,13 @@ from repro.profiling.predictor import LatencyPredictor
 
 #: Decisions one engine remembers; the least recently used one goes first.
 _MEMO_SIZE = 256
+#: Per-extra-chunk framing/syscall overhead the joint decision charges for
+#: splitting an upload.  Chunks of one stream ride a single established
+#: connection back-to-back, so they do NOT pay
+#: ``NetworkParams.base_latency_s`` each — only the first chunk does (see
+#: ``Channel.stream_chunk_time``); this covers the residual per-message
+#: cost.
+CHUNK_OVERHEAD_S = 5.0e-6
 
 
 def _memoized(scan):
@@ -236,7 +243,6 @@ class LoADPartEngine:
             # wire sizes, which shifts the optimum toward earlier cuts.
             sizes = [upload_codec.wire_bytes(s) for s in sizes]
         self.sizes = sizes
-        self.output_bytes = graph.output_spec.nbytes
         self._prefix = compute_prefix_device(self.device_times)
         self._suffix = compute_suffix_edge(self.edge_times)
         # Lazy streaming caches: per-codec wire-size vectors, per-point
@@ -319,37 +325,16 @@ class LoADPartEngine:
         return self.exits[-1 if index is None else index].accuracy
 
     @_memoized
-    def decide(
-        self,
-        bandwidth_up: float,
-        k: float = 1.0,
-        bandwidth_down: float | None = None,
-        offload_only: bool = False,
-        extra_latency_s: float = 0.0,
-        profile: ServerProfile | None = None,
-    ) -> PartitionDecision:
-        """Run Algorithm 1 under the given link/load conditions.
-
-        ``extra_latency_s`` is a fixed per-request penalty on every
-        offloading candidate (a server's link base latency); the 0.0
-        default reproduces the paper's scan exactly.  ``profile``
-        substitutes that server's own edge predictor for the suffix
-        array (the device prefix never changes — the device is ours);
-        a ``None`` profile or a profile without a predictor uses the
-        engine's shared suffix bit-for-bit.
-        """
+    def decide(self, bandwidth_up: float, k: float = 1.0) -> PartitionDecision:
+        """Run Algorithm 1 under the given link/load conditions."""
         decision = partition_decision(
             self.device_times,
             self.edge_times,
             self.sizes,
             bandwidth_up,
             k=k,
-            bandwidth_down=bandwidth_down,
-            output_bytes=self.output_bytes,
             prefix=self._prefix,
-            suffix=self._suffix_for(profile),
-            offload_only=offload_only,
-            extra_latency_s=extra_latency_s,
+            suffix=self._suffix,
         )
         _read_only(decision.candidates)
         return decision
@@ -380,7 +365,6 @@ class LoADPartEngine:
         bandwidths_up: Sequence[float | None],
         ks: Sequence[float],
         extra_latencies_s: Sequence[float] | None,
-        bandwidth_down: float | None,
         allowed: Sequence[int] | None,
         profiles: Sequence[ServerProfile | None] | None,
     ) -> Tuple[List[int], List[float], List[float], List[float],
@@ -396,8 +380,6 @@ class LoADPartEngine:
         """
         if sla_s is not None and (not math.isfinite(sla_s) or sla_s <= 0):
             raise ValueError(f"sla_s must be positive and finite, got {sla_s}")
-        if bandwidth_down is not None and bandwidth_down <= 0:
-            raise ValueError("download bandwidth must be positive")
         num = len(bandwidths_up)
         if len(ks) != num:
             raise ValueError("bandwidths_up and ks must have the same length")
@@ -442,32 +424,18 @@ class LoADPartEngine:
         bandwidths_up: Sequence[float | None],
         ks: Sequence[float],
         extra_latencies_s: Sequence[float] | None = None,
-        bandwidth_down: float | None = None,
         allowed: Sequence[int] | None = None,
-        offload_only: bool = False,
         profiles: Sequence[ServerProfile | None] | None = None,
     ) -> GridDecision:
         """Jointly pick ``(partition point, server)``: the grid without an SLA."""
         return self.decide_exit_fleet(
             None, bandwidths_up, ks, extra_latencies_s=extra_latencies_s,
-            bandwidth_down=bandwidth_down, allowed=allowed,
-            offload_only=offload_only, profiles=profiles)
+            allowed=allowed, profiles=profiles)
 
-    def decide_exit(
-        self,
-        sla_s: float | None,
-        bandwidth_up: float,
-        k: float = 1.0,
-        bandwidth_down: float | None = None,
-        offload_only: bool = False,
-        extra_latency_s: float = 0.0,
-        profile: ServerProfile | None = None,
-    ) -> GridDecision:
+    def decide_exit(self, sla_s: float | None, bandwidth_up: float,
+                    k: float = 1.0) -> GridDecision:
         """Jointly pick ``(exit, partition point)``: the grid on one server."""
-        return self.decide_exit_fleet(
-            sla_s, [bandwidth_up], [k], extra_latencies_s=[extra_latency_s],
-            bandwidth_down=bandwidth_down, offload_only=offload_only,
-            profiles=[profile])
+        return self.decide_exit_fleet(sla_s, [bandwidth_up], [k])
 
     @_memoized
     def decide_exit_fleet(
@@ -476,9 +444,7 @@ class LoADPartEngine:
         bandwidths_up: Sequence[float | None],
         ks: Sequence[float],
         extra_latencies_s: Sequence[float] | None = None,
-        bandwidth_down: float | None = None,
         allowed: Sequence[int] | None = None,
-        offload_only: bool = False,
         profiles: Sequence[ServerProfile | None] | None = None,
     ) -> GridDecision:
         """Jointly pick ``(exit, server, partition point)`` in one scan.
@@ -487,15 +453,14 @@ class LoADPartEngine:
         all rows are evaluated at once over an ``(exit, server, point)``
         array.  An offloading candidate costs
 
-            (prefix + k_s * suffix) + ((sizes * 8 / B_s + download) + extra_s)
+            (prefix + k_s * suffix) + (sizes * 8 / B_s + extra_s)
 
         in exactly :func:`partition_decision`'s operation order, so each
         row is bit-identical to :meth:`decide` on that exit and server;
         the local candidate costs the device prefix alone.  Tie rules:
 
         - within a row, the latest minimising point wins (Algorithm 1's
-          ``<=``, which prefers local); ``offload_only`` drops the local
-          candidate;
+          ``<=``, which prefers local);
         - across servers, the earliest allowed server wins, so local wins
           only when every row picks it (``server`` is then ``None``);
         - across exits, the latest exit whose best latency is ``<= sla_s``
@@ -506,12 +471,12 @@ class LoADPartEngine:
         ``None`` entry falls back to ``profiles[s]``'s bandwidth prior),
         ``extra_latencies_s[s]`` (default: the profile's link position)
         and ``profiles[s]``'s own edge predictor.  ``allowed`` restricts
-        the scan to a subset of servers (the gateway drops dead and
-        saturated ones); an empty ``allowed`` yields the local decision.
+        the scan to a subset of servers (the gateway drops dead ones and
+        those whose breaker is open); an empty ``allowed`` yields the local
+        decision.
         """
         servers, bandwidths, row_ks, extras, row_profiles = self._resolve_fleet(
-            sla_s, bandwidths_up, ks, extra_latencies_s, bandwidth_down,
-            allowed, profiles)
+            sla_s, bandwidths_up, ks, extra_latencies_s, allowed, profiles)
         first = self.num_exits - 1 if sla_s is None else 0
         ends = self._grid_ends[first:]
         rows = np.arange(len(ends))
@@ -526,20 +491,13 @@ class LoADPartEngine:
         grid += self._grid_prefix[first:, None, :]
         net = (self._grid_bits[first:, None, :]
                / np.array(bandwidths, dtype=np.float64)[:, None])
-        if bandwidth_down is not None:
-            net += np.array([e.output_bytes * 8 / bandwidth_down
-                             for e in self._exit_engines[first:]])[:, None, None]
         net += np.array(extras, dtype=np.float64)[:, None]
         grid += net
         # Local inference has no network and no server term.
         grid[rows, :, ends] = self._grid_local[first:]
-        scan = grid
-        if offload_only:
-            scan = grid.copy()
-            scan[rows, :, ends] = np.inf
         # First minimum of the reversed rows: the latest point wins ties.
-        points = self._grid_width - 1 - scan[..., ::-1].argmin(axis=-1)
-        latencies = scan.min(axis=-1)
+        points = self._grid_width - 1 - grid[..., ::-1].argmin(axis=-1)
+        latencies = grid.min(axis=-1)
         _read_only(grid, points, latencies)
 
         if servers:
@@ -693,7 +651,6 @@ class LoADPartEngine:
     @_memoized
     def decide_joint(self, bandwidth_up: float, k: float = 1.0,
                      streaming=None,
-                     bandwidth_down: float | None = None,
                      offload_only: bool = False) -> JointDecision:
         """Jointly pick ``(partition point, codec, chunking)``.
 
@@ -716,11 +673,6 @@ class LoADPartEngine:
             raise ValueError("upload bandwidth must be positive")
         if k < 1.0:
             raise ValueError(f"the influential factor k must be >= 1, got {k}")
-        download = 0.0
-        if bandwidth_down is not None:
-            if bandwidth_down <= 0:
-                raise ValueError("download bandwidth must be positive")
-            download = self.output_bytes * 8 / bandwidth_down
 
         n = self.num_nodes
         raw = np.asarray([cut.upload_bytes for cut in self._cuts],
@@ -736,7 +688,7 @@ class LoADPartEngine:
             t_up = wire.astype(np.float64) * 8 / bandwidth_up
 
             mono = self._prefix + k * self._suffix
-            mono[:-1] += t_up[:-1] + download
+            mono[:-1] += t_up[:-1]
             mono += enc + dec
             candidates[(name, "mono")] = mono
 
@@ -752,7 +704,7 @@ class LoADPartEngine:
                     cum_wire = np.cumsum(
                         [codec.wire_bytes(nb, op) for _n, nb, op in tensors])
                     t_stream = (total_wire * 8 / bandwidth_up
-                                + (chunks - 1) * streaming.chunk_overhead_s)
+                                + (chunks - 1) * CHUNK_OVERHEAD_S)
                     # Per-tensor availability on the server: tensor v is
                     # decodable once its last byte lands (its wire-prefix
                     # fraction of the stream) and the decoder — which works
@@ -768,7 +720,7 @@ class LoADPartEngine:
                     for v, jstart in self._release_entries(p):
                         term = avail[v] + k * self._suffix[jstart]
                         finish = max(finish, term)
-                    stream[p] = self._prefix[p] + enc[p] + finish + download
+                    stream[p] = self._prefix[p] + enc[p] + finish
                 candidates[(name, "stream")] = stream
                 modes.append(("stream", stream))
 
@@ -786,8 +738,7 @@ class LoADPartEngine:
 
     def joint_at(self, point: int, codec_name: str, streamed: bool,
                  bandwidth_up: float, k: float = 1.0,
-                 streaming=None,
-                 bandwidth_down: float | None = None) -> JointDecision:
+                 streaming=None) -> JointDecision:
         """A :class:`JointDecision` pinned to ``(point, codec, mode)``.
 
         Runs the full :meth:`decide_joint` scan (a memo hit when it has
@@ -797,8 +748,7 @@ class LoADPartEngine:
         fp32 at the same transfer-dominated point).
         """
         self._check_point(point)
-        jd = self.decide_joint(bandwidth_up, k=k, streaming=streaming,
-                               bandwidth_down=bandwidth_down)
+        jd = self.decide_joint(bandwidth_up, k=k, streaming=streaming)
         mode = "stream" if streamed else "mono"
         key = (codec_name, mode)
         if key not in jd.candidates:
@@ -825,7 +775,7 @@ class LoADPartEngine:
         if point < n:
             upload_s = wire_b * 8 / bandwidth_up
             if streamed:
-                upload_s += (chunks - 1) * streaming.chunk_overhead_s
+                upload_s += (chunks - 1) * CHUNK_OVERHEAD_S
         raw_b = float(self._cuts[point].upload_bytes)
         return JointDecision(
             point=point,

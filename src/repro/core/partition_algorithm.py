@@ -10,8 +10,8 @@ with ``p = n`` meaning local inference (no network terms).  Prefix sums of
 
 Following the paper's implementation (§IV): ``g(L_i, k) = k * M_edge(L_i)``,
 so the suffix array is computed once from ``M_edge`` and ``k`` multiplies it
-at decision time; the download term ``s_n / B_d`` is ignored by default
-because the result tensor of a discriminative DNN is tiny.
+at decision time; the download term ``s_n / B_d`` is left out because the
+result tensor of a discriminative DNN is tiny.
 
 The tie-break matches the pseudo-code exactly: ``curVal <= minVal`` keeps
 updating, so among equal-latency points the *latest* one wins (preferring
@@ -80,12 +80,8 @@ def partition_decision(
     sizes: Sequence[int],
     bandwidth_up: float,
     k: float = 1.0,
-    bandwidth_down: float | None = None,
-    output_bytes: int = 0,
     prefix: np.ndarray | None = None,
     suffix: np.ndarray | None = None,
-    offload_only: bool = False,
-    extra_latency_s: float = 0.0,
 ) -> PartitionDecision:
     """Run Algorithm 1.
 
@@ -100,23 +96,9 @@ def partition_decision(
         Available upload bandwidth in bit/s.
     k:
         Influential factor of the server computation load (>= 1).
-    bandwidth_down, output_bytes:
-        Optional download term ``s_n / B_d``; ignored when
-        ``bandwidth_down`` is None, as in the paper's implementation.
     prefix, suffix:
         Precomputed arrays (see :class:`~repro.core.engine.LoADPartEngine`),
         avoiding the O(n) cumsum on every call.
-    offload_only:
-        Exclude ``p = n`` (local inference) from the scan — the paper's
-        fig. 6 setting, which measures *offloaded* latency even where
-        staying local would win.
-    extra_latency_s:
-        Fixed per-request link latency charged to every *offloading*
-        candidate (``p < n``) — the base latency of the server's
-        :class:`~repro.network.channel.NetworkParams`.  In a multi-server
-        fleet this is what distinguishes a nearby server from a far one at
-        equal bandwidth; the default 0.0 adds exactly nothing, keeping
-        single-server decisions bit-identical to the paper's.
     """
     n = len(device_times)
     if len(edge_times) != n:
@@ -127,28 +109,19 @@ def partition_decision(
         raise ValueError("upload bandwidth must be positive")
     if k < 1.0:
         raise ValueError(f"the influential factor k must be >= 1, got {k}")
-    if extra_latency_s < 0:
-        raise ValueError("extra_latency_s must be non-negative")
     if prefix is None:
         prefix = compute_prefix_device(device_times)
     if suffix is None:
         suffix = compute_suffix_edge(edge_times)
 
     sizes_arr = np.asarray(sizes, dtype=np.float64)
-    download = 0.0
-    if bandwidth_down is not None:
-        if bandwidth_down <= 0:
-            raise ValueError("download bandwidth must be positive")
-        download = output_bytes * 8 / bandwidth_down
-
     candidates = prefix + k * suffix
-    candidates[:-1] += sizes_arr[:-1] * 8 / bandwidth_up + download + extra_latency_s
+    candidates[:-1] += sizes_arr[:-1] * 8 / bandwidth_up
     # candidates[n] is pure local inference: no network, no server term
     # (suffix[n] == 0 by construction).
 
     # The pseudo-code's `curVal <= minVal` keeps the LAST minimiser.
-    scan = candidates[:-1] if offload_only else candidates
-    best = int(len(scan) - 1 - np.argmin(scan[::-1]))
+    best = int(len(candidates) - 1 - np.argmin(candidates[::-1]))
     return PartitionDecision(
         point=best,
         predicted_latency=float(candidates[best]),

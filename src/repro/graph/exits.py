@@ -27,25 +27,25 @@ from typing import Sequence, Tuple
 from repro.graph.graph import ComputationGraph, GraphError
 from repro.graph.node import CNode
 
+#: Output channels of an exit head's 1x1 conv (clamped to the attach
+#: tensor's channel count).
+HEAD_CHANNELS = 32
+
 
 @dataclass(frozen=True)
 class ExitSpec:
     """Declaration of one early exit on a backbone.
 
     ``attach`` names the backbone node the head hangs off; ``accuracy``
-    is the exit's declared accuracy proxy; ``head_channels`` sizes the
-    head's 1x1 conv (clamped to the attach tensor's channel count).
+    is the exit's declared accuracy proxy.
     """
 
     attach: str
     accuracy: float
-    head_channels: int = 32
 
     def __post_init__(self) -> None:
         if not 0.0 < self.accuracy <= 1.0:
             raise ValueError(f"accuracy proxy must be in (0, 1], got {self.accuracy}")
-        if self.head_channels < 1:
-            raise ValueError("head_channels must be positive")
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def build_exit_graph(
     x = spec.attach
     attach_spec = backbone.node(spec.attach).output
     if len(attach_spec.shape) == 4:
-        channels = min(spec.head_channels, attach_spec.shape[1])
+        channels = min(HEAD_CHANNELS, attach_spec.shape[1])
         g.add_node(CNode(name=f"{name}.conv", op="conv2d", inputs=[x],
                          attrs={"out_channels": channels, "kernel": 1,
                                 "stride": 1, "padding": 0}))

@@ -216,7 +216,6 @@ class LinkEstimator:
         self._mean = self._prior
         self._dev = 0.0
         self._accepted = 0
-        self._rejected = 0
         self._consecutive_rejects = 0
 
     def add(self, latency_s: float) -> bool:
@@ -226,7 +225,6 @@ class LinkEstimator:
         if self._accepted >= self._warmup and self._is_outlier(latency_s):
             self._consecutive_rejects += 1
             if self._consecutive_rejects <= self._max_rejects:
-                self._rejected += 1
                 return False
             # Level shift: this is the (max+1)-th straight "outlier" —
             # the estimate is what's wrong.  Re-seed on the new regime.
@@ -264,7 +262,3 @@ class LinkEstimator:
     @property
     def sample_count(self) -> int:
         return self._accepted
-
-    @property
-    def rejected_count(self) -> int:
-        return self._rejected

@@ -28,6 +28,14 @@ from typing import Tuple
 
 from repro.network.codec import TensorCodec
 
+#: In-stream retry budget per chunk: a faulted chunk is retried this many
+#: times (each failure charging only that chunk's timeout share) before
+#: the stream aborts.
+MAX_CHUNK_RETRIES = 1
+#: Floor for the per-chunk timeout share, so tiny chunks are not starved
+#: by proportional budget splitting.
+MIN_CHUNK_TIMEOUT_S = 0.05
+
 
 @dataclass(frozen=True)
 class StreamingConfig:
@@ -43,28 +51,11 @@ class StreamingConfig:
     ``allow_lossy``
         Must be ``True`` to list a lossy codec (``fp16``/``int8``);
         results are then only tolerance-bounded, not bit-exact.
-    ``chunk_overhead_s``
-        Per-extra-chunk framing/syscall overhead the *decision model*
-        charges for splitting an upload.  Chunks of one stream ride a
-        single established connection back-to-back, so they do NOT pay
-        ``NetworkParams.base_latency_s`` each — only the first chunk
-        does (see ``Channel.stream_chunk_time``); this knob covers the
-        residual per-message cost.
-    ``max_chunk_retries``
-        In-stream retry budget per chunk: a faulted chunk is retried
-        this many times (each failure charging only that chunk's
-        timeout share) before the stream aborts.
-    ``min_chunk_timeout_s``
-        Floor for the per-chunk timeout share, so tiny chunks are not
-        starved by proportional budget splitting.
     """
 
     chunk_bytes: int | None = 32 * 1024
     codecs: Tuple[str, ...] = ("fp32", "zlib")
     allow_lossy: bool = False
-    chunk_overhead_s: float = 5.0e-6
-    max_chunk_retries: int = 1
-    min_chunk_timeout_s: float = 0.05
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "codecs", tuple(self.codecs))
@@ -80,12 +71,6 @@ class StreamingConfig:
             if not self.allow_lossy and name not in TensorCodec.LOSSLESS:
                 raise ValueError(
                     f"codec {name!r} is lossy; set allow_lossy=True to opt in")
-        if self.chunk_overhead_s < 0:
-            raise ValueError("chunk_overhead_s must be non-negative")
-        if self.max_chunk_retries < 0:
-            raise ValueError("max_chunk_retries must be non-negative")
-        if self.min_chunk_timeout_s < 0:
-            raise ValueError("min_chunk_timeout_s must be non-negative")
 
     def plan_chunks(self, total_bytes: int) -> Tuple[int, ...]:
         """Split ``total_bytes`` of wire payload into chunk sizes."""

@@ -2,14 +2,13 @@
 
 One NNLS model per computation-node category, for one side (device or
 edge).  Nodes without a category (concat, flatten, dropout, ...) predict
-zero, exactly as the paper's implementation assigns them (§IV).  The bundle
-serialises to JSON so that both the device and the server can load the same
-trained models, as in Fig. 3.
+zero, exactly as the paper's implementation assigns them (§IV).  The fit
+runs in fixed-order arithmetic, so the device and the server, fitting from
+the same profile, hold the same trained models, as in Fig. 3.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Dict, Iterable, Sequence
 
@@ -51,23 +50,6 @@ class LatencyPredictor:
 
     def predict_total(self, profiles: Iterable[NodeProfile]) -> float:
         return float(sum(self.predict(p) for p in profiles))
-
-    # -- persistence ------------------------------------------------------------
-
-    def to_json(self) -> str:
-        payload = {
-            "side": self.side,
-            "models": {cat: model.to_dict() for cat, model in self.models.items()},
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LatencyPredictor":
-        payload = json.loads(text)
-        models = {
-            cat: NNLSModel.from_dict(entry) for cat, entry in payload["models"].items()
-        }
-        return cls(payload["side"], models)
 
     # -- construction helpers ------------------------------------------------------
 

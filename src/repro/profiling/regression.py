@@ -182,21 +182,3 @@ class NNLSModel:
 
     def predict_one(self, x: np.ndarray) -> float:
         return float(self.predict(x)[0])
-
-    def to_dict(self) -> dict:
-        """Serialisable form, stored on both device and server (§III-A)."""
-        if self.coef is None:
-            raise RuntimeError("model is not fitted")
-        return {
-            "feature_names": list(self.feature_names),
-            "coef": [float(c) for c in self.coef],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "NNLSModel":
-        model = cls(payload["feature_names"])
-        coef = np.asarray(payload["coef"], dtype=np.float64)
-        if np.any(coef < 0):
-            raise ValueError("NNLS coefficients must be non-negative")
-        model.coef = coef
-        return model

@@ -7,7 +7,7 @@ execution, amortising per-request GEMM setup across clients.  Three rules
 keep the paper's load-feedback loop honest:
 
 - **Ladder + padding.**  Batched plans compile per batch size, so sizes are
-  drawn from a small ladder (default 1/2/4/8) and the last partial batch is
+  drawn from a small ladder (1/2/4/8) and the last partial batch is
   zero-padded up to the nearest rung.  Every op in the planned backend is
   per-sample independent (per-sample GEMM slabs, per-row GEMVs, inference-
   mode batchnorm), so pad samples cannot perturb real ones and per-sample
@@ -28,51 +28,41 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
-#: Default batch-size ladder; plans are compiled (and cached) per rung.
-DEFAULT_LADDER: Tuple[int, ...] = (1, 2, 4, 8)
+#: Batch-size ladder, ascending; plans are compiled (and cached) per rung.
+LADDER: Tuple[int, ...] = (1, 2, 4, 8)
+#: A queue holding this many requests flushes at once.
+MAX_BATCH = LADDER[-1]
+#: GPU batching efficiency: a batch of ``b`` samples costs ``1 + (b - 1) *
+#: MARGINAL_SAMPLE_COST`` times one sample (0 = perfectly parallel, 1 =
+#: purely sequential); 0.35 is in the range batched GEMMs achieve on a
+#: T4-class part.
+MARGINAL_SAMPLE_COST = 0.35
 
 
 @dataclass(frozen=True)
 class BatchingConfig:
-    """Dynamic-batching knobs for the multi-client runtime.
-
-    ``marginal_sample_cost`` models GPU batching efficiency: a batch of
-    ``b`` samples costs ``1 + (b - 1) * marginal_sample_cost`` times one
-    sample (0 = perfectly parallel, 1 = purely sequential).  The default
-    0.35 is in the range batched GEMMs achieve on a T4-class part.
-    """
+    """Dynamic-batching knobs for the multi-client runtime."""
 
     window_s: float = 0.005
-    max_batch: int = 8
-    ladder: Tuple[int, ...] = DEFAULT_LADDER
-    marginal_sample_cost: float = 0.35
 
     def __post_init__(self) -> None:
         if self.window_s < 0:
             raise ValueError("window_s must be non-negative")
-        ladder = tuple(sorted(set(int(b) for b in self.ladder)))
-        if not ladder or ladder[0] < 1:
-            raise ValueError("ladder must contain positive batch sizes")
-        object.__setattr__(self, "ladder", ladder)
-        if not 1 <= self.max_batch <= ladder[-1]:
-            raise ValueError(
-                f"max_batch must be in [1, max(ladder)={ladder[-1]}], got {self.max_batch}"
-            )
-        if self.marginal_sample_cost < 0:
-            raise ValueError("marginal_sample_cost must be non-negative")
 
-    def padded_size(self, n: int) -> int:
+    @staticmethod
+    def padded_size(n: int) -> int:
         """Smallest ladder rung holding ``n`` samples."""
         if n < 1:
             raise ValueError("batch must hold at least one sample")
-        for rung in self.ladder:
+        for rung in LADDER:
             if rung >= n:
                 return rung
-        raise ValueError(f"batch of {n} exceeds ladder maximum {self.ladder[-1]}")
+        raise ValueError(f"batch of {n} exceeds ladder maximum {LADDER[-1]}")
 
-    def batch_time_scale(self, padded: int) -> float:
+    @staticmethod
+    def batch_time_scale(padded: int) -> float:
         """Execution-time multiplier of a ``padded``-sample batch vs one sample."""
-        return 1.0 + (padded - 1) * self.marginal_sample_cost
+        return 1.0 + (padded - 1) * MARGINAL_SAMPLE_COST
 
 
 @dataclass
@@ -97,23 +87,22 @@ class DynamicBatcher:
     The batcher only holds state; *when* to flush is the driver's call via
     the return values of :meth:`enqueue` (the event loop owns time).  Epochs
     guard against stale timer events: a window timer scheduled for a queue
-    that was flushed early (by reaching ``max_batch``) must not fire twice.
+    that was flushed early (by reaching ``MAX_BATCH``) must not fire twice.
     """
 
-    def __init__(self, config: BatchingConfig) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self._queues: Dict[int, _PointQueue] = {}
 
     def enqueue(self, point: int, request: PendingRequest) -> Tuple[bool, int]:
         """Queue a request; returns ``(flush_now, epoch)``.
 
-        ``flush_now`` is True when the queue just reached ``max_batch`` and
+        ``flush_now`` is True when the queue just reached ``MAX_BATCH`` and
         must be flushed immediately.  Otherwise the caller should arm a
         window timer for ``epoch`` iff this request opened the queue.
         """
         q = self._queues.setdefault(point, _PointQueue())
         q.pending.append(request)
-        return len(q.pending) >= self.config.max_batch, q.epoch
+        return len(q.pending) >= MAX_BATCH, q.epoch
 
     def queue_depth(self, point: int) -> int:
         q = self._queues.get(point)

@@ -32,10 +32,21 @@ from repro.graph.partitioner import PartitionedGraph
 from repro.hardware.device_model import DeviceModel
 from repro.network.channel import Channel, StreamResult
 from repro.network.estimator import BandwidthEstimator
-from repro.network.streaming import StreamingConfig
+from repro.network.streaming import (
+    MAX_CHUNK_RETRIES,
+    MIN_CHUNK_TIMEOUT_S,
+    StreamingConfig,
+)
 from repro.nn.executor import SegmentExecutor, _check_backend, init_parameters
 from repro.runtime.messages import BusyReply, InferenceRecord, OffloadReply
-from repro.runtime.resilience import CircuitBreaker, ResilienceConfig
+from repro.runtime.resilience import (
+    BANDWIDTH_WINDOW_S,
+    FAILURE_THRESHOLD,
+    K_TTL_S,
+    PROBE_TIMEOUT_S,
+    CircuitBreaker,
+    ResilienceConfig,
+)
 from repro.runtime.server import PARTITION_OVERHEAD_S, EdgeServer
 
 
@@ -160,7 +171,8 @@ class UserDevice:
                 f"got {type(self.policy).__name__}")
         self.sla_s = sla_s
         if sla_s is not None:
-            if not math.isfinite(sla_s) or sla_s <= 0:
+            if (isinstance(sla_s, bool) or not math.isfinite(sla_s)
+                    or sla_s <= 0):
                 raise ValueError(f"sla_s must be positive and finite, got {sla_s}")
             if streaming is not None:
                 raise ValueError(
@@ -172,14 +184,12 @@ class UserDevice:
             self.estimator = estimator
         elif resilience is not None:
             # Failed transfers make old samples lie; bound their age.
-            self.estimator = BandwidthEstimator(window_s=resilience.bandwidth_window_s)
+            self.estimator = BandwidthEstimator(window_s=BANDWIDTH_WINDOW_S)
         else:
             self.estimator = BandwidthEstimator()
         self.breaker: CircuitBreaker | None = None
         if resilience is not None:
-            self.breaker = CircuitBreaker(
-                resilience.failure_threshold, resilience.cooldown_s
-            )
+            self.breaker = CircuitBreaker(FAILURE_THRESHOLD, resilience.cooldown_s)
         self.cache = PartitionCache(engine.partitioner)
         self._rng = np.random.default_rng(seed)
         self._latest_k = 1.0
@@ -208,7 +218,7 @@ class UserDevice:
     def send_probe(self, now_s: float) -> float:
         """Upload an adaptive-size probe packet; returns its duration.
 
-        In resilient mode the probe runs under ``probe_timeout_s`` and a
+        In resilient mode the probe runs under ``PROBE_TIMEOUT_S`` and a
         failed probe is recorded as bandwidth *evidence* (an upper bound)
         instead of being silently unmeasurable.
         """
@@ -218,8 +228,7 @@ class UserDevice:
             self.estimator.add_probe(now_s, probe_bytes, duration)
             return duration
         result = self.channel.try_upload(
-            probe_bytes, now_s, self._rng, timeout_s=self.resilience.probe_timeout_s
-        )
+            probe_bytes, now_s, self._rng, timeout_s=PROBE_TIMEOUT_S)
         if result.delivered:
             self.estimator.add_probe(now_s, probe_bytes, result.elapsed_s)
         else:
@@ -265,12 +274,12 @@ class UserDevice:
     def _current_k(self, now_s: float) -> float:
         """The load factor the decision should use right now.
 
-        Resilient mode expires ``k`` after ``k_ttl_s`` without a successful
+        Resilient mode expires ``k`` after ``K_TTL_S`` without a successful
         load query — a dead server's last (possibly huge) ``k`` must stop
         steering decisions once it can no longer be refreshed.
         """
         if (self.resilience is not None
-                and now_s - self._k_time_s > self.resilience.k_ttl_s):
+                and now_s - self._k_time_s > K_TTL_S):
             return 1.0
         return self._latest_k
 
@@ -483,8 +492,8 @@ class UserDevice:
             chunk_sizes = self.streaming.plan_chunks(wire_bytes)
             result = self.channel.try_upload_stream(
                 chunk_sizes, now_s, self._rng, timeout_s=budget,
-                max_chunk_retries=self.streaming.max_chunk_retries,
-                min_chunk_timeout_s=self.streaming.min_chunk_timeout_s,
+                max_chunk_retries=MAX_CHUNK_RETRIES,
+                min_chunk_timeout_s=MIN_CHUNK_TIMEOUT_S,
             )
             if result.delivered:
                 arrivals, decode_s = self._stream_arrivals(

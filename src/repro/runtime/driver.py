@@ -42,6 +42,8 @@ if TYPE_CHECKING:
 
 #: Client ``i`` issues its first request at ``start + i * REQUEST_STAGGER_S``.
 REQUEST_STAGGER_S = 0.003
+#: Period of each device's runtime profiler, probe plus load query (§V-A).
+PROFILER_PERIOD_S = 5.0
 
 
 class Driver:
@@ -75,13 +77,12 @@ class Driver:
         self._records: List[List[InferenceRecord]] = [[] for _ in self.clients]
         self._finished = 0
         self._in_flight = 0
-        self._batcher = (DynamicBatcher(cfg.batching)
-                         if cfg.batching is not None else None)
+        self._batcher = DynamicBatcher() if cfg.batching is not None else None
 
         # Warm up every profiler at the start (models load + first probe,
         # Fig. 3's "load models" step), then run them periodically.
         start = loop.now
-        period = cfg.profiler_period_s
+        period = PROFILER_PERIOD_S
         for i, client in enumerate(self.clients):
             client.profiler_tick(start)
             # Stagger profiler periods so clients don't probe in lockstep.
@@ -90,7 +91,7 @@ class Driver:
             loop.schedule_every(period, lambda c=client: c.profiler_tick(loop.now),
                                 start_s=start + offset)
         for server in self.servers:
-            loop.schedule_every(cfg.watchdog_period_s,
+            loop.schedule_every(server.watchdog.period_s,
                                 lambda s=server: s.watchdog_tick(loop.now))
         supervisor = self.supervisor
         if supervisor is not None:

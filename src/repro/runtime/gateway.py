@@ -23,11 +23,10 @@ a live sibling instead of falling straight back to local.  Dead servers
 (missed heartbeats, open per-server breakers) leave the candidate pool
 entirely until the supervisor's probes revive them.
 
-Admission lives at the gateway: an ``admission_limit`` bounds how many
-offloads each server is routed per sliding window, so a saturated server
-is simply skipped and the request re-planned on the next-best
-``(point, server)``; only when *every* live server is saturated does the
-gateway resolve the request locally (counted in ``rejected_count``).
+Load shedding stays with each server: a full server answers
+:class:`~repro.runtime.messages.BusyReply`
+(``ServerFaultPlan.queue_limit``), which the port reports to the
+supervisor, and the client's retry re-enters the router.
 
 Per-server link base latencies enter the decision *relative to the
 fleet minimum*: a common offset cannot change any within-server argmin
@@ -38,9 +37,8 @@ zero-extra reference and farther servers pay the difference.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import Deque, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.engine import GridDecision, LoADPartEngine, ServerProfile
 from repro.network.channel import Channel, NetworkParams
@@ -62,38 +60,29 @@ from repro.runtime.system import (
 )
 
 
+#: Servers whose predicted latency is within this relative band of the
+#: best one rotate round-robin instead of always losing to the earliest
+#: index.  The supervisor's ``k_s`` only refreshes once per probe period,
+#: so between probes a saturated homogeneous fleet looks near-identical
+#: from every client; a strict argmin would herd every offload onto one
+#: server per probe window.
+REBALANCE_TOLERANCE = 0.05
+
+
 @dataclass(frozen=True)
 class GatewayConfig:
     """Knobs of the fleet gateway.
 
     ``probes`` is the supervisor configuration; ``None`` disables the
     supervisor loop entirely (no probes, no RNG draws — required for the
-    degenerate 1-server identity).  ``admission_limit`` bounds routed
-    offloads per server per ``admission_window_s`` sliding window
-    (``None`` = unbounded, the default).
+    degenerate 1-server identity).
     """
 
     probes: SupervisorConfig | None = None
-    admission_limit: int | None = None
-    admission_window_s: float = 0.25
-    #: Servers whose predicted latency is within this relative band of
-    #: the best one rotate round-robin instead of always losing to the
-    #: earliest index.  The supervisor's ``k_s`` only refreshes once per
-    #: probe period, so between probes a saturated homogeneous fleet
-    #: looks near-identical from every client; a strict argmin would
-    #: herd every offload onto one server per probe window.  0 restores
-    #: exact-tie-only rotation.
-    rebalance_tolerance: float = 0.05
 
     def __post_init__(self) -> None:
         if self.probes is not None and not isinstance(self.probes, SupervisorConfig):
             raise ValueError("probes must be a SupervisorConfig or None")
-        if self.admission_limit is not None and self.admission_limit < 1:
-            raise ValueError("admission_limit must be >= 1 (or None)")
-        if self.admission_window_s <= 0:
-            raise ValueError("admission_window_s must be positive")
-        if self.rebalance_tolerance < 0:
-            raise ValueError("rebalance_tolerance must be non-negative")
 
 
 class GatewayPort:
@@ -175,15 +164,11 @@ class EdgeGateway:
         bases = [c.params.base_latency_s for c in channels]
         floor = min(bases)
         self._extra_latency = [b - floor for b in bases]
-        self._admitted: Dict[int, Deque[float]] = {
-            sid: deque() for sid in self._ids}
         #: Rotation counter for the equal-cost tie-break (see :meth:`route`).
         self._rotation = 0
         #: Smooth-WRR credit per server index, for load-weighted rotation.
         self._credits: Dict[int, float] = {}
         self.routed_counts: Dict[int, int] = {sid: 0 for sid in self._ids}
-        #: Requests resolved locally because every live server was saturated.
-        self.rejected_count = 0
 
     def _extra_latencies(self) -> List[float]:
         """Per-server relative link penalties for the fleet scan.
@@ -204,15 +189,6 @@ class EdgeGateway:
 
     def _index(self, server_id: int) -> int:
         return self._ids.index(server_id)
-
-    def _has_room(self, server_id: int, now_s: float) -> bool:
-        limit = self.config.admission_limit
-        if limit is None:
-            return True
-        window = self._admitted[server_id]
-        while window and window[0] < now_s - self.config.admission_window_s:
-            window.popleft()
-        return len(window) < limit
 
     def _bandwidth_prior(self, index: int, client_fallback: float) -> float:
         """Bandwidth fallback for one server with no supervisor samples.
@@ -265,18 +241,18 @@ class EdgeGateway:
         """Pick ``(server, decision)`` for one offload request.
 
         One :meth:`~repro.core.engine.LoADPartEngine.decide_exit_fleet`
-        scan over the admitted servers, with the exit axis on top when
+        scan over the routable servers, with the exit axis on top when
         ``sla_s`` is set.  ``bandwidth_fallback`` / ``k_fallback`` are the
         requesting client's own §IV estimates, used for any server the
         supervisor has no fresh data about.  ``exclude`` lists servers the
         caller would rather avoid (the previously-failed server of a
         retry); it is a preference — when it empties the candidate pool,
         the full pool is used instead.  Returns ``(None, local decision)``
-        when the whole fleet is dark or saturated (no server admitted), or
-        when local inference wins on merit.
+        when the whole fleet is dark, or when local inference wins on
+        merit.
 
         Near-tied servers of the chosen exit rotate (see
-        ``GatewayConfig.rebalance_tolerance``), and when the exit meets
+        ``REBALANCE_TOLERANCE``), and when the exit meets
         the SLA only among servers still predicted to meet it, so
         rotation never trades a met deadline for load spreading.  The
         returned decision then carries the rotated server's own row.
@@ -290,10 +266,6 @@ class EdgeGateway:
             # lone-server fleet keeps retrying its only path.
             pool = list(sup.live_servers())
         preferred = [sid for sid in pool if sid not in exclude] or pool
-        admitted = ([sid for sid in preferred if self._has_room(sid, now_s)]
-                    or [sid for sid in pool if self._has_room(sid, now_s)])
-        if pool and not admitted:
-            self.rejected_count += 1
 
         bandwidths = [
             sup.bandwidth_for(sid, self._bandwidth_prior(i, bandwidth_fallback))
@@ -302,7 +274,7 @@ class EdgeGateway:
         decision = self.engine.decide_exit_fleet(
             sla_s, bandwidths, ks,
             extra_latencies_s=self._extra_latencies(),
-            allowed=[self._index(sid) for sid in admitted],
+            allowed=[self._index(sid) for sid in preferred],
             profiles=self.profiles,
         )
         if decision.server is None:
@@ -310,7 +282,7 @@ class EdgeGateway:
         # Rotate among near-tied servers: a strictly-better server (beyond
         # the band) still wins outright, and a 1-server fleet has no
         # siblings to rotate to — the degenerate identity is untouched.
-        band = decision.predicted_latency * (1.0 + self.config.rebalance_tolerance)
+        band = decision.predicted_latency * (1.0 + REBALANCE_TOLERANCE)
         if sla_s is not None and decision.feasible:
             band = min(band, sla_s)
         row = decision.exits.index(decision.exit_index)
@@ -325,8 +297,6 @@ class EdgeGateway:
             decision = replace(decision, server=index, point=points[j],
                                predicted_latency=latencies[j])
         sid = self._ids[index]
-        if self.config.admission_limit is not None:
-            self._admitted[sid].append(now_s)
         self.routed_counts[sid] += 1
         return sid, decision
 
@@ -415,7 +385,6 @@ class GatewayFleetSystem:
         gateway_config: GatewayConfig | None = None,
         server_faults: Sequence[ServerFaultPlan | None] | None = None,
         network_params: Sequence[NetworkParams] | None = None,
-        tracker_window_s: float = 3.0,
         profiles: Sequence[ServerProfile | None] | None = None,
         gpu_models: Sequence[object | None] | None = None,
         bandwidth_traces: Sequence[BandwidthTrace] | None = None,
@@ -446,8 +415,7 @@ class GatewayFleetSystem:
                              "(the joint (point, server) scan)")
         self.engine = engine
         trace = bandwidth_trace or ConstantTrace(8e6)
-        self.trackers = [SharedLoadTracker(window_s=tracker_window_s)
-                         for _ in range(num_servers)]
+        self.trackers = [SharedLoadTracker() for _ in range(num_servers)]
         self.servers: List[SharedEdgeServer] = []
         self.channels: List[Channel] = []
         for s, tracker in enumerate(self.trackers):

@@ -156,13 +156,12 @@ class MultiClientSystem:
         num_clients: int,
         bandwidth_trace: BandwidthTrace | None = None,
         config: SystemConfig | None = None,
-        tracker_window_s: float = 3.0,
     ) -> None:
         if num_clients < 1:
             raise ValueError("need at least one client")
         self.config = config or SystemConfig()
         self.engine = engine
-        self.tracker = SharedLoadTracker(window_s=tracker_window_s)
+        self.tracker = SharedLoadTracker()
         self.server = build_server(SharedEdgeServer, engine, self.config,
                                    tracker=self.tracker,
                                    fault_plan=self.config.server_faults)

@@ -6,7 +6,7 @@ server shows up in ``k``, a slow link in the bandwidth estimate, but a
 knobs and the circuit-breaker state machine that let
 :class:`~repro.runtime.client.UserDevice` degrade gracefully instead:
 
-- **Deadline** — each offload attempt gets ``deadline_margin ×`` the
+- **Deadline** — each offload attempt gets ``DEADLINE_MARGIN ×`` the
   engine's own predicted end-to-end latency for the chosen partition point
   (Algorithm 1's objective value).  The prediction the device already
   computes is exactly the right yardstick: a request that overshoots its
@@ -15,11 +15,15 @@ knobs and the circuit-breaker state machine that let
   retried at the *re-decided* partition point (bandwidth and ``k`` may
   have changed — indeed the failure itself fed the bandwidth estimator),
   with a budget so latency stays bounded.
-- **Circuit breaker** — after ``failure_threshold`` consecutive failures
+- **Circuit breaker** — after ``FAILURE_THRESHOLD`` consecutive failures
   the breaker opens and the device pins ``point = n`` (full local
   inference).  The paper's §IV profiler tick doubles as the half-open
   health probe: once ``cooldown_s`` has elapsed, a successful probe +
   load query closes the breaker and offloading resumes.
+
+The probe deadline, the load factor's time to live and the age bound on
+bandwidth samples are shared with the fleet supervisor
+(:mod:`repro.runtime.supervisor`), which probes on the clients' behalf.
 """
 
 from __future__ import annotations
@@ -28,39 +32,37 @@ import math
 from dataclasses import dataclass
 
 
+#: Per-attempt timeout = ``DEADLINE_MARGIN`` x the predicted total latency.
+DEADLINE_MARGIN = 3.0
+#: Floor on the per-attempt timeout, so tiny predictions don't flap.
+MIN_TIMEOUT_S = 0.05
+#: Backoff before retry ``a`` (1-based) is ``BACKOFF_BASE_S *
+#: BACKOFF_FACTOR ** (a - 1)``, scaled by ``1 +/- BACKOFF_JITTER``.
+BACKOFF_BASE_S = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_JITTER = 0.5
+#: Consecutive failures that open a client's breaker.
+FAILURE_THRESHOLD = 3
+#: Deadline on a health probe (the device's and the supervisor's).
+PROBE_TIMEOUT_S = 1.0
+#: A load factor older than this stops steering decisions.
+K_TTL_S = 30.0
+#: Age bound on the bandwidth samples a failure-aware estimator keeps.
+BANDWIDTH_WINDOW_S = 30.0
+
+
 @dataclass(frozen=True)
 class ResilienceConfig:
     """Knobs of the resilient offload path (None on the device = legacy)."""
 
-    deadline_margin: float = 3.0      # timeout = margin x predicted total latency
-    min_timeout_s: float = 0.05       # floor, so tiny predictions don't flap
     max_retries: int = 2              # offload attempts beyond the first
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.5       # +/- uniform fraction of the delay
-    failure_threshold: int = 3        # consecutive failures that open the breaker
     cooldown_s: float = 20.0          # open time before a probe may close it
-    probe_timeout_s: float = 1.0      # deadline on the profiler's health probe
-    k_ttl_s: float = 30.0             # load factor older than this is ignored
-    bandwidth_window_s: float = 30.0  # age bound on bandwidth samples
 
     def __post_init__(self) -> None:
-        if self.deadline_margin <= 0:
-            raise ValueError("deadline_margin must be positive")
-        if self.min_timeout_s <= 0:
-            raise ValueError("min_timeout_s must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.backoff_base_s < 0 or self.backoff_factor < 1.0:
-            raise ValueError("backoff_base_s >= 0 and backoff_factor >= 1 required")
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ValueError("backoff_jitter must be in [0, 1]")
-        if self.failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if self.cooldown_s < 0 or self.probe_timeout_s <= 0:
-            raise ValueError("cooldown_s >= 0 and probe_timeout_s > 0 required")
-        if self.k_ttl_s <= 0 or self.bandwidth_window_s <= 0:
-            raise ValueError("k_ttl_s and bandwidth_window_s must be positive")
+        if self.cooldown_s < 0:
+            raise ValueError("cooldown_s must be non-negative")
 
     def timeout_for(self, predicted_total_s: float,
                     sla_s: float | None = None) -> float:
@@ -69,23 +71,22 @@ class ResilienceConfig:
         ``sla_s`` is the request's remaining SLA budget, honoured as a
         *ceiling* on the margin-derived deadline: an attempt must never be
         allowed to run past the point where the SLA is already lost (the
-        retry budget would overshoot it).  The ``min_timeout_s`` floor
+        retry budget would overshoot it).  The ``MIN_TIMEOUT_S`` floor
         still applies — a nearly-exhausted budget degrades to one short
         attempt, not a zero-length one.
         """
         if not math.isfinite(predicted_total_s) or predicted_total_s <= 0:
-            timeout = self.min_timeout_s
+            timeout = MIN_TIMEOUT_S
         else:
-            timeout = max(self.deadline_margin * predicted_total_s,
-                          self.min_timeout_s)
+            timeout = max(DEADLINE_MARGIN * predicted_total_s, MIN_TIMEOUT_S)
         if sla_s is not None:
-            timeout = max(min(timeout, sla_s), self.min_timeout_s)
+            timeout = max(min(timeout, sla_s), MIN_TIMEOUT_S)
         return timeout
 
     def backoff_s(self, attempt: int, unit_jitter: float) -> float:
         """Delay before retry ``attempt`` (1-based); ``unit_jitter`` in [0, 1)."""
-        base = self.backoff_base_s * self.backoff_factor ** (attempt - 1)
-        return base * (1.0 + self.backoff_jitter * (2.0 * unit_jitter - 1.0))
+        base = BACKOFF_BASE_S * BACKOFF_FACTOR ** (attempt - 1)
+        return base * (1.0 + BACKOFF_JITTER * (2.0 * unit_jitter - 1.0))
 
 
 class CircuitBreaker:

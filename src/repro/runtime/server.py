@@ -54,9 +54,6 @@ class EdgeServer:
         load_schedule: LoadSchedule | None = None,
         gpu_model: GpuModel | None = None,
         scheduler: GpuScheduler | None = None,
-        monitor_window_s: float = 5.0,
-        watchdog_threshold: float = 0.90,
-        watchdog_period_s: float = 10.0,
         seed: int = 0,
         backend: str = "naive",
         functional: bool = False,
@@ -77,8 +74,8 @@ class EdgeServer:
         self.load_schedule = load_schedule or LoadSchedule([(0.0, IDLE)])
         self.gpu_model = gpu_model or GpuModel()
         self.scheduler = scheduler or GpuScheduler()
-        self.monitor = LoadFactorMonitor(window_s=monitor_window_s)
-        self.watchdog = GpuWatchdog(self.monitor, watchdog_threshold, watchdog_period_s)
+        self.monitor = LoadFactorMonitor()
+        self.watchdog = GpuWatchdog(self.monitor)
         self.cache = PartitionCache(engine.partitioner)
         self._rng = np.random.default_rng(seed)
         self.offload_count = 0

@@ -45,13 +45,26 @@ import numpy as np
 from repro.network.channel import Channel
 from repro.network.estimator import BandwidthEstimator, LinkEstimator
 from repro.runtime.messages import ProbeReport
-from repro.runtime.resilience import CircuitBreaker
+from repro.runtime.resilience import (
+    BANDWIDTH_WINDOW_S,
+    K_TTL_S,
+    PROBE_TIMEOUT_S,
+    CircuitBreaker,
+)
 from repro.runtime.server import EdgeServer
 
 #: Health states of one fleet server, as the supervisor sees it.
 LIVE = "live"        # answering probes/requests
 SUSPECT = "suspect"  # missed at least one probe, not yet declared dead
 DEAD = "dead"        # missed ``dead_after_misses`` probes in a row
+
+#: Failures that open a server's breaker, and its open time before a
+#: probe may close it.
+BREAKER_THRESHOLD = 3
+BREAKER_COOLDOWN_S = 10.0
+#: Small-upload size of the two-size probe pair (see
+#: :meth:`FleetSupervisor.probe`).
+PING_BYTES = 2048
 
 
 @dataclass
@@ -78,34 +91,14 @@ class SupervisorConfig:
     """Knobs of the supervisor loop (probe cadence and thresholds)."""
 
     probe_period_s: float = 5.0       # §IV profiler period, per server
-    probe_timeout_s: float = 1.0      # deadline on each health probe
     dead_after_misses: int = 2        # consecutive misses before DEAD
-    breaker_threshold: int = 3        # failures that open a server's breaker
-    breaker_cooldown_s: float = 10.0  # open time before a probe may close it
-    k_ttl_s: float = 30.0             # k_s older than this stops steering
-    bandwidth_window_s: float = 30.0  # age bound on per-server bw samples
     learn_links: bool = True          # decompose probes into (latency, bw)
-    ping_bytes: int = 2048            # small-upload size of the probe pair
-    link_alpha: float = 0.25          # EWMA gain of the link estimator
-    link_outlier_factor: float = 4.0  # deviations before a sample is rejected
 
     def __post_init__(self) -> None:
-        if self.probe_period_s <= 0 or self.probe_timeout_s <= 0:
-            raise ValueError("probe_period_s and probe_timeout_s must be positive")
+        if self.probe_period_s <= 0:
+            raise ValueError("probe_period_s must be positive")
         if self.dead_after_misses < 1:
             raise ValueError("dead_after_misses must be >= 1")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
-        if self.breaker_cooldown_s < 0:
-            raise ValueError("breaker_cooldown_s must be non-negative")
-        if self.k_ttl_s <= 0 or self.bandwidth_window_s <= 0:
-            raise ValueError("k_ttl_s and bandwidth_window_s must be positive")
-        if self.ping_bytes < 1:
-            raise ValueError("ping_bytes must be >= 1")
-        if not 0 < self.link_alpha <= 1:
-            raise ValueError("link_alpha must be in (0, 1]")
-        if self.link_outlier_factor <= 0:
-            raise ValueError("link_outlier_factor must be positive")
 
 
 class FleetSupervisor:
@@ -138,16 +131,11 @@ class FleetSupervisor:
                 raise ValueError(f"duplicate server_id {sid}")
             self._by_id[sid] = (server, channel)
             self.health[sid] = ServerHealth(server_id=sid)
-            self.estimators[sid] = BandwidthEstimator(
-                window_s=self.config.bandwidth_window_s)
+            self.estimators[sid] = BandwidthEstimator(window_s=BANDWIDTH_WINDOW_S)
             # The channel's declared base latency is the *prior*; probe
             # decomposition replaces it with a learned estimate.
-            self.links[sid] = LinkEstimator(
-                prior_s=channel.params.base_latency_s,
-                alpha=self.config.link_alpha,
-                outlier_factor=self.config.link_outlier_factor)
-            self.breakers[sid] = CircuitBreaker(
-                self.config.breaker_threshold, self.config.breaker_cooldown_s)
+            self.links[sid] = LinkEstimator(prior_s=channel.params.base_latency_s)
+            self.breakers[sid] = CircuitBreaker(BREAKER_THRESHOLD, BREAKER_COOLDOWN_S)
 
     def _server(self, server_id: int) -> EdgeServer:
         return self._by_id[server_id][0]
@@ -165,9 +153,9 @@ class FleetSupervisor:
         With ``learn_links`` (the default) the probe is *two* uploads —
         a fixed small ping plus the adaptive bulk packet — whose elapsed
         difference isolates the transfer term: the bandwidth sample is
-        ``(bulk_bytes - ping_bytes) * 8 / (bulk_s - ping_s)``, so the
+        ``(bulk_bytes - PING_BYTES) * 8 / (bulk_s - ping_s)``, so the
         link's base latency cancels instead of biasing it low, and the
-        ping's residual ``ping_s - ping_bytes*8/B`` feeds that server's
+        ping's residual ``ping_s - PING_BYTES*8/B`` feeds that server's
         :class:`~repro.network.estimator.LinkEstimator`.  A single timed
         upload cannot tell a slow link from a thin one — that confusion
         previously leaked link latency into the bandwidth estimate (and
@@ -188,16 +176,13 @@ class FleetSupervisor:
         ping = None
         if self.config.learn_links:
             ping = channel.try_upload(
-                self.config.ping_bytes, now_s, self._rng,
-                timeout_s=self.config.probe_timeout_s)
+                PING_BYTES, now_s, self._rng, timeout_s=PROBE_TIMEOUT_S)
             if not ping.delivered:
-                estimator.add_failure(
-                    now_s, self.config.ping_bytes, ping.elapsed_s)
+                estimator.add_failure(now_s, PING_BYTES, ping.elapsed_s)
                 return self._probe_missed(health, breaker, now_s)
         probe_bytes = estimator.next_probe_bytes()
         result = channel.try_upload(
-            probe_bytes, now_s, self._rng,
-            timeout_s=self.config.probe_timeout_s)
+            probe_bytes, now_s, self._rng, timeout_s=PROBE_TIMEOUT_S)
         reply = (server.handle_load_query(now_s)
                  if result.delivered else None)
         if result.delivered and reply is not None:
@@ -234,7 +219,7 @@ class FleetSupervisor:
         if ping is None:
             estimator.add_probe(now_s, probe_bytes, bulk_s)
             return
-        delta_bytes = probe_bytes - self.config.ping_bytes
+        delta_bytes = probe_bytes - PING_BYTES
         delta_s = bulk_s - ping.elapsed_s
         if delta_bytes <= 0 or delta_s <= 0:
             # Degenerate pair (jitter inverted the ordering, or the bulk
@@ -244,8 +229,7 @@ class FleetSupervisor:
             return
         estimator.add_probe(now_s, delta_bytes, delta_s)
         bandwidth = delta_bytes * 8 / delta_s
-        latency = max(
-            ping.elapsed_s - self.config.ping_bytes * 8 / bandwidth, 0.0)
+        latency = max(ping.elapsed_s - PING_BYTES * 8 / bandwidth, 0.0)
         accepted = self.links[server_id].add(latency)
         self.last_probe[server_id] = ProbeReport(
             server_id=server_id, time_s=now_s, ping_s=ping.elapsed_s,
@@ -305,7 +289,7 @@ class FleetSupervisor:
     def k_for(self, server_id: int, now_s: float, fallback: float) -> float:
         """Freshest known ``k_s``, or ``fallback`` when unknown/expired."""
         health = self.health[server_id]
-        if now_s - health.k_time_s > self.config.k_ttl_s:
+        if now_s - health.k_time_s > K_TTL_S:
             return fallback
         return health.k
 

@@ -1,8 +1,8 @@
 """``OffloadingSystem``: wires device, server, channel and load schedule.
 
 The :class:`~repro.runtime.driver.Driver` runs it: periodic profiler
-ticks on the device (default 5 s, §V-A), the periodic GPU watchdog on the
-server (default 10 s), and requests issued back-to-back (plus an optional
+ticks on the device (every 5 s, §V-A), the periodic GPU watchdog on the
+server (every 10 s), and requests issued back-to-back (plus an optional
 think time).  Produces a :class:`Timeline` of per-request records — the raw
 material of the Fig. 6/7/8/9 experiments.  The ``build_*`` helpers wire
 the servers, links and clients of every system, fleets included.
@@ -41,11 +41,7 @@ class SystemConfig:
     """Knobs of one emulation run (defaults follow §V-A of the paper)."""
 
     policy: str = "loadpart"
-    profiler_period_s: float = 5.0
-    watchdog_period_s: float = 10.0
-    watchdog_threshold: float = 0.90
     think_time_s: float = 0.015      # gap between consecutive requests
-    monitor_window_s: float = 5.0
     seed: int = 0
     backend: str = "naive"           # executor backend for functional runs
     functional: bool = False         # actually execute segments on arrays
@@ -101,8 +97,8 @@ class SystemConfig:
             for sla in self.sla_classes:
                 if sla is None:
                     continue
-                if (not isinstance(sla, (int, float)) or not sla > 0
-                        or not math.isfinite(sla)):
+                if (isinstance(sla, bool) or not isinstance(sla, (int, float))
+                        or not sla > 0 or not math.isfinite(sla)):
                     raise ValueError(
                         f"sla_classes entries must be positive or None, got {sla!r}")
             if self.streaming is not None:
@@ -250,9 +246,6 @@ def build_server(cls, engine: LoADPartEngine, config: SystemConfig,
     draws; siblings get widely-separated streams)."""
     return cls(
         engine,
-        monitor_window_s=config.monitor_window_s,
-        watchdog_threshold=config.watchdog_threshold,
-        watchdog_period_s=config.watchdog_period_s,
         seed=config.seed + 100 + 1000 * index,
         backend=config.backend,
         functional=config.functional,

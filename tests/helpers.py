@@ -76,16 +76,15 @@ def sampled_points(graph, count=2):
     return [p for p in points if 0 < p < n]
 
 
-def brute_force(device, edge, sizes, bw_up, k, bw_down=None, out_bytes=0):
+def brute_force(device, edge, sizes, bw_up, k):
     """Direct O(n^2) evaluation of Problem (1), the paper's objective."""
     n = len(device)
     best_p, best_val = None, None
-    download = out_bytes * 8 / bw_down if bw_down else 0.0
     for p in range(n + 1):
         if p == n:
             val = sum(device)
         else:
-            val = sum(device[:p]) + sizes[p] * 8 / bw_up + k * sum(edge[p:]) + download
+            val = sum(device[:p]) + sizes[p] * 8 / bw_up + k * sum(edge[p:])
         if best_val is None or val <= best_val:  # paper tie-break: latest wins
             best_p, best_val = p, val
     return best_p, best_val
@@ -107,7 +106,6 @@ def fleet_objective(
     bandwidth_up: float,
     k: float = 1.0,
     extra_latency_s: float = 0.0,
-    bandwidth_down: float | None = None,
     profile: ServerProfile | None = None,
 ) -> float:
     """Problem (1) for one ``(point, server)`` candidate, summed directly.
@@ -127,8 +125,6 @@ def fleet_objective(
     total = device + k * sum(float(t) for t in edge_times[point:])
     if point < engine.num_nodes:
         total += engine.sizes[point] * 8 / bandwidth_up + extra_latency_s
-        if bandwidth_down is not None:
-            total += engine.output_bytes * 8 / bandwidth_down
     return total
 
 
@@ -138,9 +134,7 @@ def exit_fleet_brute_force(
     bandwidths_up: Sequence[float | None],
     ks: Sequence[float],
     extra_latencies_s: Sequence[float] | None = None,
-    bandwidth_down: float | None = None,
     allowed: Sequence[int] | None = None,
-    offload_only: bool = False,
     profiles: Sequence[ServerProfile | None] | None = None,
 ) -> GridDecision:
     """Exhaustive ``(exit, server, point)`` reference for the decision grid.
@@ -155,8 +149,7 @@ def exit_fleet_brute_force(
     field and every row must match ``decide_exit_fleet`` *bitwise*.
     """
     servers, bandwidths, row_ks, extras, row_profiles = engine._resolve_fleet(
-        sla_s, bandwidths_up, ks, extra_latencies_s, bandwidth_down, allowed,
-        profiles)
+        sla_s, bandwidths_up, ks, extra_latencies_s, allowed, profiles)
     last = engine.num_exits - 1
     exits = (last,) if sla_s is None else tuple(range(last + 1))
     row_points = np.zeros((len(exits), len(servers)), dtype=np.intp)
@@ -167,9 +160,6 @@ def exit_fleet_brute_force(
         sub = engine.exit_engine(e)
         n = sub.num_nodes
         prefix = sub._prefix
-        download = 0.0
-        if bandwidth_down is not None:
-            download = sub.output_bytes * 8 / bandwidth_down
         vals = np.empty((len(servers), n + 1))
         best_value, best_server, best_point = math.inf, None, n
         for j, s in enumerate(servers):
@@ -178,10 +168,9 @@ def exit_fleet_brute_force(
             for p in range(n + 1):
                 c = prefix[p] + row_ks[j] * suffix[p]
                 if p < n:
-                    c = c + (sub.sizes[p] * 8 / bandwidths[j] + download
-                             + extras[j])
+                    c = c + (sub.sizes[p] * 8 / bandwidths[j] + extras[j])
                 vals[j, p] = c
-                if (p < n or not offload_only) and c <= sv:
+                if c <= sv:
                     sp, sv = p, c
             row_points[i, j] = sp
             row_latencies[i, j] = sv

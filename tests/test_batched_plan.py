@@ -16,7 +16,7 @@ from repro.graph.partitioner import GraphPartitioner
 from repro.models import build_model
 from repro.nn import BACKENDS, GraphExecutor, SegmentExecutor
 from repro.nn.plan import GraphPlan, PlanError, SegmentPlan
-from repro.runtime.batching import BatchingConfig, DynamicBatcher, PendingRequest
+from repro.runtime.batching import MAX_BATCH, BatchingConfig, DynamicBatcher, PendingRequest
 from repro.runtime.multi import MultiClientSystem
 from repro.runtime.system import OffloadingSystem, SystemConfig, Timeline
 from tests.helpers import (
@@ -156,19 +156,13 @@ class TestBatchingConfig:
             cfg.padded_size(9)
 
     def test_batch_time_scale(self):
-        cfg = BatchingConfig(marginal_sample_cost=0.25)
+        cfg = BatchingConfig()
         assert cfg.batch_time_scale(1) == 1.0
-        assert cfg.batch_time_scale(4) == pytest.approx(1.75)
+        assert cfg.batch_time_scale(4) == pytest.approx(2.05)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             BatchingConfig(window_s=-1.0)
-        with pytest.raises(ValueError):
-            BatchingConfig(max_batch=16)  # above the ladder
-        with pytest.raises(ValueError):
-            BatchingConfig(ladder=())
-        with pytest.raises(ValueError):
-            BatchingConfig(marginal_sample_cost=-0.1)
 
     def test_single_client_system_rejects_batching(self, alexnet_engine):
         with pytest.raises(ValueError):
@@ -178,15 +172,16 @@ class TestBatchingConfig:
 
 class TestDynamicBatcher:
     def test_flush_on_max_batch(self):
-        batcher = DynamicBatcher(BatchingConfig(max_batch=2))
-        full, _ = batcher.enqueue(3, PendingRequest(1, 0.0))
-        assert not full
-        full, _ = batcher.enqueue(3, PendingRequest(2, 0.1))
+        batcher = DynamicBatcher()
+        for i in range(1, MAX_BATCH):
+            full, _ = batcher.enqueue(3, PendingRequest(i, 0.0))
+            assert not full
+        full, _ = batcher.enqueue(3, PendingRequest(MAX_BATCH, 0.1))
         assert full
-        assert [r.request_id for r in batcher.take(3)] == [1, 2]
+        assert [r.request_id for r in batcher.take(3)] == list(range(1, MAX_BATCH + 1))
 
     def test_stale_epoch_takes_nothing(self):
-        batcher = DynamicBatcher(BatchingConfig())
+        batcher = DynamicBatcher()
         _, epoch = batcher.enqueue(3, PendingRequest(1, 0.0))
         batcher.take(3)            # flushed early (window timer now stale)
         batcher.enqueue(3, PendingRequest(2, 0.2))
@@ -194,7 +189,7 @@ class TestDynamicBatcher:
         assert [r.request_id for r in batcher.take(3)] == [2]
 
     def test_queues_are_per_point(self):
-        batcher = DynamicBatcher(BatchingConfig())
+        batcher = DynamicBatcher()
         batcher.enqueue(3, PendingRequest(1, 0.0))
         batcher.enqueue(7, PendingRequest(2, 0.0))
         assert batcher.queue_depth(3) == 1

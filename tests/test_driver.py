@@ -19,6 +19,7 @@ import pytest
 from repro.network.faults import FaultPlan, ServerFaultPlan
 from repro.network.traces import ConstantTrace
 from repro.runtime.batching import BatchingConfig
+from repro.runtime.driver import PROFILER_PERIOD_S
 from repro.runtime.gateway import GatewayConfig, GatewayFleetSystem
 from repro.runtime.multi import MultiClientSystem
 from repro.runtime.resilience import ResilienceConfig
@@ -33,14 +34,14 @@ def sequential_reference(system, duration_s, max_requests=None):
     single = isinstance(system, OffloadingSystem)
     clients = [system.device] if single else system.clients
     servers = system.servers if hasattr(system, "servers") else [system.server]
-    period = cfg.profiler_period_s
+    period = PROFILER_PERIOD_S
     for i, client in enumerate(clients):
         client.profiler_tick(0.0)
         offset = period if single else (i + 1) * period / (len(clients) + 1)
         loop.schedule_every(period, lambda c=client: c.profiler_tick(loop.now),
                             start_s=offset)
     for server in servers:
-        loop.schedule_every(cfg.watchdog_period_s,
+        loop.schedule_every(server.watchdog.period_s,
                             lambda s=server: s.watchdog_tick(loop.now))
     gateway = getattr(system, "gateway", None)
     if gateway is not None and gateway.probing_enabled:
@@ -187,15 +188,16 @@ def test_run_ends_at_horizon(squeezenet_engine, build):
 
 
 def test_records_leave_past_a_stale_batch_timer(squeezenet_engine):
-    """A queue flushed early at ``max_batch`` leaves its window timer on
+    """A queue flushed early at ``MAX_BATCH`` leaves its window timer on
     the loop after the run.  That event keeps the driver alive until the
     cyclic collector runs, and the records it returned must not wait
     with it."""
-    system = MultiClientSystem(squeezenet_engine, 8, config=SystemConfig(
-        seed=2, batching=BatchingConfig(window_s=0.05, max_batch=2)))
+    system = MultiClientSystem(squeezenet_engine, 12, config=SystemConfig(
+        seed=2, batching=BatchingConfig(window_s=0.3)))
     gc.disable()
     try:
-        result = system.run(1.0)
+        result = system.run(2.0)
+        assert any(event[3].__name__ != "tick" for event in system.loop._queue)
         record = weakref.ref(result.timelines[0].records[0])
         del result, system
         assert record() is None

@@ -37,10 +37,6 @@ class TestExitSpec:
         with pytest.raises(ValueError, match="accuracy proxy"):
             ExitSpec(attach="x", accuracy=1.5)
 
-    def test_head_channels_must_be_positive(self):
-        with pytest.raises(ValueError, match="head_channels"):
-            ExitSpec(attach="x", accuracy=0.5, head_channels=0)
-
 
 class TestBuildExitGraph:
     def test_head_structure_on_conv_attach(self):

@@ -168,12 +168,6 @@ class TestFusedPrediction:
         assert engine.decide(1e6).point == engine.num_nodes       # local
         assert 0 <= engine.decide(64e6).point <= 4                # early offload
 
-    def test_fused_json_round_trip(self, fused_report):
-        from repro.profiling.predictor import LatencyPredictor
-
-        restored = LatencyPredictor.from_json(fused_report.edge_predictor.to_json())
-        assert set(FUSED_CATEGORIES) <= set(restored.models)
-
 
 class TestFusedSerialisation:
     def test_fused_graph_round_trips(self):

@@ -7,24 +7,22 @@ from repro.graph.serialize import graph_from_json, graph_to_json
 from repro.hardware.background import U100H, LoadSchedule
 from repro.models import build_model
 from repro.network.traces import ConstantTrace, RandomWalkTrace, StepTrace
-from repro.profiling.predictor import LatencyPredictor
 from repro.runtime.system import OffloadingSystem, SystemConfig
 
 
 class TestArtifactPipeline:
-    """The deployment path of Fig. 3: both sides load the same files."""
+    """The deployment path of Fig. 3: both sides load the same model file
+    and hold the same fitted predictors (the fit is in fixed order)."""
 
     def test_model_and_predictors_from_disk(self, tmp_path, trained_report):
         graph = build_model("squeezenet")
         (tmp_path / "model.json").write_text(graph_to_json(graph))
-        (tmp_path / "m_user.json").write_text(trained_report.user_predictor.to_json())
-        (tmp_path / "m_edge.json").write_text(trained_report.edge_predictor.to_json())
 
-        # "Device" and "server" each reload from the artifacts.
+        # "Device" and "server" each reload the model from the artifact.
         device_graph = graph_from_json((tmp_path / "model.json").read_text())
         server_graph = graph_from_json((tmp_path / "model.json").read_text())
-        m_user = LatencyPredictor.from_json((tmp_path / "m_user.json").read_text())
-        m_edge = LatencyPredictor.from_json((tmp_path / "m_edge.json").read_text())
+        m_user = trained_report.user_predictor
+        m_edge = trained_report.edge_predictor
 
         device_engine = LoADPartEngine(device_graph, m_user, m_edge)
         server_engine = LoADPartEngine(server_graph, m_user, m_edge)
@@ -37,11 +35,9 @@ class TestArtifactPipeline:
     def test_reloaded_engine_runs_the_system(self, tmp_path, trained_report):
         graph = build_model("alexnet")
         text = graph_to_json(graph)
-        engine = LoADPartEngine(
-            graph_from_json(text),
-            LatencyPredictor.from_json(trained_report.user_predictor.to_json()),
-            LatencyPredictor.from_json(trained_report.edge_predictor.to_json()),
-        )
+        engine = LoADPartEngine(graph_from_json(text),
+                                trained_report.user_predictor,
+                                trained_report.edge_predictor)
         system = OffloadingSystem(engine, ConstantTrace(8e6), config=SystemConfig(seed=0))
         timeline = system.run(3.0)
         assert len(timeline) > 3

@@ -35,21 +35,6 @@ class TestAgainstBruteForce:
         assert decision.point == bf_p
         assert decision.predicted_latency == pytest.approx(bf_val, rel=1e-9, abs=1e-12)
 
-    @given(seed=st.integers(0, 2**31))
-    @settings(max_examples=50, deadline=None)
-    def test_download_term_matches_brute_force(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 10
-        device = rng.random(n).tolist()
-        edge = rng.random(n).tolist()
-        sizes = rng.integers(0, 10**6, n + 1).tolist()
-        decision = partition_decision(
-            device, edge, sizes, 8e6, k=2.0, bandwidth_down=4e6, output_bytes=4000
-        )
-        bf_p, bf_val = brute_force(device, edge, sizes, 8e6, 2.0, 4e6, 4000)
-        assert decision.point == bf_p
-        assert decision.predicted_latency == pytest.approx(bf_val, rel=1e-9)
-
 
 class TestZooAgainstBruteForce:
     """Algorithm 1 == brute-force argmin on every *real* zoo profile.
@@ -61,24 +46,14 @@ class TestZooAgainstBruteForce:
     """
 
     @pytest.mark.parametrize("model_name", ZOO)
-    @given(
-        bw=st.floats(1e5, 1e8),
-        k=st.floats(1.0, 500.0),
-        bw_down=st.one_of(st.none(), st.floats(1e5, 1e8)),
-        out_bytes=st.integers(0, 10**6),
-    )
+    @given(bw=st.floats(1e5, 1e8), k=st.floats(1.0, 500.0))
     @settings(max_examples=30, deadline=None)
-    def test_zoo_profiles_match_brute_force(self, engine_for, model_name,
-                                            bw, k, bw_down, out_bytes):
+    def test_zoo_profiles_match_brute_force(self, engine_for, model_name, bw, k):
         engine = engine_for(model_name)
         device, edge, sizes = (engine.device_times, engine.edge_times,
                                engine.sizes)
-        decision = partition_decision(
-            device, edge, sizes, bw, k=k,
-            bandwidth_down=bw_down, output_bytes=out_bytes,
-        )
-        bf_p, bf_val = brute_force(device, edge, sizes, bw, k,
-                                   bw_down, out_bytes)
+        decision = partition_decision(device, edge, sizes, bw, k=k)
+        bf_p, bf_val = brute_force(device, edge, sizes, bw, k)
         assert decision.point == bf_p
         assert decision.predicted_latency == pytest.approx(
             bf_val, rel=1e-9, abs=1e-12)
@@ -154,10 +129,6 @@ class TestValidation:
             partition_decision([-1.0], [1.0], [1, 0], 8e6)
         with pytest.raises(ValueError):
             partition_decision([1.0], [-1.0], [1, 0], 8e6)
-
-    def test_nonpositive_download_bandwidth_rejected(self):
-        with pytest.raises(ValueError):
-            partition_decision([1.0], [1.0], [1, 0], 8e6, bandwidth_down=0.0)
 
 
 class TestHelpers:

@@ -1,9 +1,8 @@
-"""LatencyPredictor: prediction semantics and persistence."""
+"""LatencyPredictor: construction, prediction semantics and fitting."""
 
 import numpy as np
 import pytest
 
-from repro.graph.ops import CATEGORIES
 from repro.profiling.features import profile_graph
 from repro.profiling.predictor import LatencyPredictor
 
@@ -47,23 +46,6 @@ class TestPrediction:
         device = trained_report.user_predictor.predict_total(profiles)
         edge = trained_report.edge_predictor.predict_total(profiles)
         assert device > 10 * edge
-
-
-class TestPersistence:
-    def test_json_round_trip(self, trained_report, chain_graph):
-        predictor = trained_report.user_predictor
-        restored = LatencyPredictor.from_json(predictor.to_json())
-        assert restored.side == predictor.side
-        profiles = profile_graph(chain_graph)
-        np.testing.assert_allclose(
-            restored.predict_nodes(profiles), predictor.predict_nodes(profiles)
-        )
-
-    def test_json_has_all_categories(self, trained_report):
-        import json
-
-        payload = json.loads(trained_report.edge_predictor.to_json())
-        assert set(payload["models"]) == set(CATEGORIES)
 
 
 class TestFit:

@@ -290,12 +290,10 @@ class TestExitDifferential:
         k = data.draw(st.floats(1.0, 50.0), label="k")
         sla = data.draw(
             st.one_of(st.none(), st.floats(1e-6, 10.0)), label="sla")
-        offload_only = data.draw(st.booleans(), label="offload_only")
 
-        got = engine.decide_exit(sla, bw, k=k, offload_only=offload_only)
+        got = engine.decide_exit(sla, bw, k=k)
         ref = exit_fleet_brute_force(engine, sla, [bw], [k],
-                                     extra_latencies_s=[0.0],
-                                     offload_only=offload_only)
+                                     extra_latencies_s=[0.0])
 
         assert got.exit_index == ref.exit_index
         assert got.feasible == ref.feasible
@@ -343,12 +341,8 @@ class TestExitDifferential:
             st.one_of(st.none(),
                       st.lists(st.integers(0, num - 1), max_size=num)),
             label="allowed")
-        offload_only = data.draw(st.booleans(), label="offload_only")
-        bandwidth_down = data.draw(
-            st.one_of(st.none(), st.floats(1e5, 1e8)), label="bw_down")
 
-        kwargs = dict(profiles=profiles, allowed=allowed,
-                      offload_only=offload_only, bandwidth_down=bandwidth_down)
+        kwargs = dict(profiles=profiles, allowed=allowed)
         got = engine.decide_exit_fleet(sla, bandwidths, ks, **kwargs)
         ref = exit_fleet_brute_force(engine, sla, bandwidths, ks, **kwargs)
 
@@ -367,32 +361,17 @@ class TestExitDifferential:
     @settings(max_examples=25, deadline=None)
     def test_decide_exit_is_the_one_server_grid(self, data, setup):
         """``decide_exit`` equals ``decide_exit_fleet`` on a one-server
-        fleet, field for field."""
-        from repro.core.engine import ServerProfile
-        from repro.profiling.predictor import ScaledPredictor
-
-        engine, edge_base = setup
+        fleet with no link penalty and the shared predictor, field for
+        field."""
+        engine, _ = setup
         bw = data.draw(st.floats(1e5, 1e8), label="bw")
         k = data.draw(st.floats(1.0, 50.0), label="k")
-        extra = data.draw(st.floats(0.0, 0.05), label="extra")
-        scale = data.draw(st.one_of(st.none(), st.floats(0.25, 4.0)),
-                          label="scale")
-        profile = data.draw(st.sampled_from([
-            None, ServerProfile(edge_predictor=(
-                None if scale is None else ScaledPredictor(edge_base, scale)))]),
-            label="profile")
         sla = data.draw(
             st.one_of(st.none(), st.floats(1e-6, 10.0)), label="sla")
-        offload_only = data.draw(st.booleans(), label="offload_only")
-        bandwidth_down = data.draw(
-            st.one_of(st.none(), st.floats(1e5, 1e8)), label="bw_down")
 
-        got = engine.decide_exit(
-            sla, bw, k, extra_latency_s=extra, profile=profile,
-            offload_only=offload_only, bandwidth_down=bandwidth_down)
+        got = engine.decide_exit(sla, bw, k)
         ref = engine.decide_exit_fleet(
-            sla, [bw], [k], extra_latencies_s=[extra], profiles=[profile],
-            offload_only=offload_only, bandwidth_down=bandwidth_down)
+            sla, [bw], [k], extra_latencies_s=[0.0], profiles=[None])
         _assert_same_grid(got, ref)
 
     @given(data=st.data(), setup=random_exit_engine())
@@ -481,14 +460,11 @@ class TestFleetDifferential:
             st.one_of(st.none(),
                       st.lists(st.integers(0, num - 1), max_size=num)),
             label="allowed")
-        offload_only = data.draw(st.booleans(), label="offload_only")
 
         got = engine.decide_fleet(
-            bandwidths, ks, allowed=allowed, offload_only=offload_only,
-            profiles=profiles)
+            bandwidths, ks, allowed=allowed, profiles=profiles)
         ref = exit_fleet_brute_force(
-            engine, None, bandwidths, ks, allowed=allowed,
-            offload_only=offload_only, profiles=profiles)
+            engine, None, bandwidths, ks, allowed=allowed, profiles=profiles)
 
         assert got.point == ref.point
         assert got.server == ref.server
@@ -611,15 +587,12 @@ class TestDecisionMemo:
         def call():
             kind = data.draw(st.sampled_from(["decide", "grid", "joint"]))
             bw, k = data.draw(bandwidth), data.draw(load)
-            offload_only = data.draw(st.booleans())
             if kind == "decide":
-                return "decide", (bw,), dict(
-                    k=k, offload_only=offload_only,
-                    profile=data.draw(st.sampled_from(profiles)))
+                return "decide", (bw,), dict(k=k)
             if kind == "joint":
                 return "decide_joint", (bw, k), dict(
                     streaming=data.draw(st.sampled_from(streams)),
-                    offload_only=offload_only)
+                    offload_only=data.draw(st.booleans()))
             num = data.draw(st.integers(1, 3))
             sla = data.draw(st.sampled_from([None, 1e-3, 0.05, 5.0]))
             return "decide_exit_fleet", (
@@ -628,8 +601,7 @@ class TestDecisionMemo:
                               for _ in range(num)],
                     allowed=data.draw(st.one_of(
                         st.none(), st.lists(st.integers(0, num - 1),
-                                            max_size=num))),
-                    offload_only=offload_only)
+                                            max_size=num))))
 
         pool = [call() for _ in range(data.draw(st.integers(1, 6)))]
         seen = {}
@@ -693,15 +665,11 @@ class TestDecisionMemo:
         fast = ServerProfile(edge_predictor=ScaledPredictor(edge, 0.25))
         twin = ServerProfile(edge_predictor=ScaledPredictor(edge, 3.0))
         engine = squeezenet_engine
-        d_slow = engine.decide(8e6, profile=slow)
-        d_fast = engine.decide(8e6, profile=fast)
-        d_twin = engine.decide(8e6, profile=twin)
+        d_slow, d_fast, d_twin = [engine.decide_fleet([8e6], [1.0], profiles=[p])
+                                  for p in (slow, fast, twin)]
         assert d_fast is not d_slow and d_twin is not d_slow
-        assert not np.array_equal(d_fast.candidates, d_slow.candidates)
+        assert not np.array_equal(d_fast.candidates[0], d_slow.candidates[0])
         _assert_bitwise(d_twin, d_slow)
-        grid = [engine.decide_fleet([8e6], [1.0], profiles=[p])
-                for p in (slow, fast, twin)]
-        assert len({id(d) for d in grid}) == 3
 
     def test_returned_arrays_are_read_only(self, squeezenet_exit_engine):
         from repro.network.streaming import StreamingConfig
@@ -710,7 +678,7 @@ class TestDecisionMemo:
         decisions = [
             engine.decide(8e6),
             engine.decide_exit(0.05, 8e6),
-            engine.decide_fleet([8e6, 4e6], [1.0, 2.0], offload_only=True),
+            engine.decide_fleet([8e6, 4e6], [1.0, 2.0]),
             engine.decide_joint(8e6, streaming=StreamingConfig(chunk_bytes=4096)),
             engine.joint_at(engine.num_nodes, "fp32", False, 8e6,
                             streaming=StreamingConfig()),

@@ -79,24 +79,6 @@ class TestValidation:
         assert model.coef is not None
 
 
-class TestSerialisation:
-    def test_round_trip(self, rng):
-        X = rng.random((30, 2))
-        y = X @ np.array([1.5, 0.5])
-        model = NNLSModel(["a", "b"]).fit(X, y)
-        restored = NNLSModel.from_dict(model.to_dict())
-        np.testing.assert_allclose(restored.predict(X), model.predict(X))
-        assert restored.feature_names == ("a", "b")
-
-    def test_rejects_negative_coef_payload(self):
-        with pytest.raises(ValueError):
-            NNLSModel.from_dict({"feature_names": ["a"], "coef": [-1.0]})
-
-    def test_to_dict_before_fit(self):
-        with pytest.raises(RuntimeError):
-            NNLSModel(["a"]).to_dict()
-
-
 @st.composite
 def nnls_problems(draw):
     """Small integer problems of full column rank, then a zero column, a

@@ -8,7 +8,7 @@ from repro.network.faults import FaultPlan, ServerFaultPlan
 from repro.runtime.batching import BatchingConfig
 from repro.runtime.messages import BusyReply
 from repro.runtime.multi import MultiClientSystem
-from repro.runtime.resilience import CircuitBreaker, ResilienceConfig
+from repro.runtime.resilience import K_TTL_S, CircuitBreaker, ResilienceConfig
 from repro.runtime.system import OffloadingSystem, SystemConfig
 
 
@@ -20,30 +20,24 @@ def run_timeline(engine, duration_s=6.0, **cfg):
 class TestResilienceConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ResilienceConfig(deadline_margin=0.0)
-        with pytest.raises(ValueError):
             ResilienceConfig(max_retries=-1)
         with pytest.raises(ValueError):
-            ResilienceConfig(backoff_jitter=1.5)
-        with pytest.raises(ValueError):
-            ResilienceConfig(failure_threshold=0)
-        with pytest.raises(ValueError):
-            ResilienceConfig(k_ttl_s=0.0)
+            ResilienceConfig(cooldown_s=-1.0)
 
     def test_timeout_from_prediction(self):
-        cfg = ResilienceConfig(deadline_margin=3.0, min_timeout_s=0.05)
+        cfg = ResilienceConfig()
         assert cfg.timeout_for(0.1) == pytest.approx(0.3)
         assert cfg.timeout_for(0.001) == 0.05          # floor
         assert cfg.timeout_for(math.inf) == 0.05       # degenerate prediction
 
     def test_backoff_grows_and_jitters(self):
-        cfg = ResilienceConfig(backoff_base_s=0.1, backoff_factor=2.0,
-                               backoff_jitter=0.5)
+        cfg = ResilienceConfig()
         mid1 = cfg.backoff_s(1, 0.5)
         mid2 = cfg.backoff_s(2, 0.5)
+        assert mid1 == pytest.approx(0.05)
         assert mid2 == pytest.approx(2 * mid1)
-        assert cfg.backoff_s(1, 0.0) == pytest.approx(0.05)
-        assert cfg.backoff_s(1, 1.0) == pytest.approx(0.15)
+        assert cfg.backoff_s(1, 0.0) == pytest.approx(0.025)
+        assert cfg.backoff_s(1, 1.0) == pytest.approx(0.075)
 
 
 class TestCircuitBreaker:
@@ -252,12 +246,12 @@ class TestBatchedFaults:
 class TestStaleLoadFactor:
     def test_k_expires_without_successful_query(self, squeezenet_engine):
         _, system = run_timeline(squeezenet_engine, duration_s=1.0,
-                                 resilience=ResilienceConfig(k_ttl_s=5.0))
+                                 resilience=ResilienceConfig())
         device = system.device
         device._latest_k = 4.0
         device._k_time_s = 0.0
-        assert device._current_k(3.0) == 4.0
-        assert device._current_k(6.0) == 1.0   # TTL elapsed: back to neutral
+        assert device._current_k(K_TTL_S) == 4.0
+        assert device._current_k(K_TTL_S + 1.0) == 1.0   # TTL elapsed: neutral
 
     def test_fresh_k_survives(self, squeezenet_engine):
         _, system = run_timeline(squeezenet_engine, duration_s=6.0,
@@ -275,10 +269,10 @@ class TestSlaDeadlineCeiling:
     CRASH = ServerFaultPlan(crash_windows=((1.0, 5.0),))
 
     def test_timeout_for_honours_sla_ceiling(self):
-        cfg = ResilienceConfig(deadline_margin=10.0, min_timeout_s=0.05)
-        assert cfg.timeout_for(0.1) == pytest.approx(1.0)
-        assert cfg.timeout_for(0.1, sla_s=0.3) == pytest.approx(0.3)
-        assert cfg.timeout_for(0.1, sla_s=5.0) == pytest.approx(1.0)
+        cfg = ResilienceConfig()
+        assert cfg.timeout_for(0.1) == pytest.approx(0.3)
+        assert cfg.timeout_for(0.1, sla_s=0.2) == pytest.approx(0.2)
+        assert cfg.timeout_for(0.1, sla_s=5.0) == pytest.approx(0.3)
         # A nearly-exhausted budget degrades to one short attempt, not a
         # zero-length one: the floor still applies.
         assert cfg.timeout_for(0.1, sla_s=0.001) == 0.05
@@ -286,11 +280,11 @@ class TestSlaDeadlineCeiling:
     def _run(self, engine, sla_classes):
         system = OffloadingSystem(engine, config=SystemConfig(
             seed=7, server_faults=self.CRASH, sla_classes=sla_classes,
-            resilience=ResilienceConfig(deadline_margin=10.0, max_retries=2)))
+            resilience=ResilienceConfig(max_retries=2)))
         return system.run(8.0)
 
     def test_sla_bounds_wasted_time_during_crash(self, squeezenet_engine):
-        sla = 0.3
+        sla = 0.2  # below the margin-derived deadline, so the ceiling binds
         with_sla = self._run(squeezenet_engine, (sla,))
         plain = self._run(squeezenet_engine, None)
         sla_failed = [r for r in with_sla if r.wasted_s > 0]

@@ -152,6 +152,13 @@ class TestDevice:
             + record.download_s + record.overhead_s
         )
 
+    @pytest.mark.parametrize("sla_s", [True, 0.0, float("nan")])
+    def test_invalid_sla_rejected(self, squeezenet_engine, sla_s):
+        server = EdgeServer(squeezenet_engine, seed=1)
+        channel = Channel(ConstantTrace(8e6))
+        with pytest.raises(ValueError, match="sla_s"):
+            UserDevice(squeezenet_engine, server, channel, sla_s=sla_s)
+
     def test_passive_measurement_recorded(self, squeezenet_engine):
         server = EdgeServer(squeezenet_engine, seed=1)
         channel = Channel(ConstantTrace(8e6))
@@ -167,6 +174,13 @@ class TestSystem:
     def test_invalid_policy(self):
         with pytest.raises(ValueError):
             SystemConfig(policy="oracle")
+
+    @pytest.mark.parametrize("sla", [True, False, 0.0, -0.1, float("inf"), "0.1"])
+    def test_invalid_sla_classes(self, sla):
+        """A bool is an int to ``isinstance``, but ``True`` is not a
+        one-second deadline."""
+        with pytest.raises(ValueError, match="sla_classes"):
+            SystemConfig(sla_classes=(sla, 0.3))
 
     def test_run_produces_records(self, system):
         timeline = system.run(5.0)

@@ -26,6 +26,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.engine import CHUNK_OVERHEAD_S
 from repro.graph.partitioner import GraphPartitioner
 from repro.network.channel import Channel, NetworkParams
 from repro.network.faults import FaultPlan, FaultyChannel, ServerFaultPlan
@@ -60,8 +61,6 @@ class TestStreamingConfig:
             StreamingConfig(codecs=())
         with pytest.raises(ValueError, match="unknown codec"):
             StreamingConfig(codecs=("bf16",))
-        with pytest.raises(ValueError):
-            StreamingConfig(chunk_overhead_s=-1.0)
 
     def test_plan_chunks(self):
         assert plan_chunks(10, None) == (10,)
@@ -183,7 +182,7 @@ class TestJointDecision:
             finite = np.isfinite(stream)
             codec_wire = engine._wire_sizes(name)
             chunks = np.array([cfg.num_chunks(int(w)) for w in codec_wire])
-            slack = (chunks - 1) * cfg.chunk_overhead_s + 1e-9
+            slack = (chunks - 1) * CHUNK_OVERHEAD_S + 1e-9
             assert np.all(stream[finite] <= mono[finite] + slack[finite])
 
     def test_stream_mode_wins_at_branchy_cuts(self, engine_for):
